@@ -4,7 +4,9 @@ directory of recorded clips.
 A clip request names a unit's text, its weight, and the beat length;
 the clip handed back always lasts exactly (weight + 1) beats at the
 engine sample rate, so the renderer can do beat arithmetic in frames.
-Recorded clips are files named ``<unit_text>_<l|g>.wav``.
+Recorded clips are files named ``<unit_text>_<l|g>.wav``.  Providers
+keep no clips: the renderer memoizes them, one fetch per distinct
+request in a render.
 """
 
 from __future__ import annotations
@@ -47,13 +49,11 @@ class ClipRequest:
 
 
 class ClipProvider(ABC):
-    """Source of unit clips; implementations cache within a render."""
+    """Source of unit clips.  Each call builds or loads the clip anew;
+    the renderer memoizes clips, so providers need no cache."""
 
     @abstractmethod
     def get_clip(self, request: ClipRequest) -> AudioClip: ...
-
-    def clear_cache(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +155,9 @@ class SyntheticVoice(ClipProvider):
     ):
         self.base_freq = base_freq
         self.sample_rate = sample_rate
-        self._cache: dict[tuple, AudioClip] = {}
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        key = (request.unit_text, request.weight, request.beat_seconds, self.base_freq)
-        clip = self._cache.get(key)
-        if clip is None:
-            clip = synth_clip(request, self.base_freq, self.sample_rate)
-            self._cache[key] = clip
-        return clip
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
+        return synth_clip(request, self.base_freq, self.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +176,6 @@ class ClipDirectory(ClipProvider):
         self.directory = Path(directory)
         self.sample_rate = sample_rate
         self._index: dict[tuple[str, Weight], Path] = {}
-        self._cache: dict[tuple, AudioClip] = {}
         for path in sorted(self.directory.glob("*.wav")):
             stem = path.stem
             if "_" not in stem:
@@ -203,17 +193,6 @@ class ClipDirectory(ClipProvider):
         return len(self._index)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        key = (request.unit_text, request.weight, request.beat_seconds)
-        clip = self._cache.get(key)
-        if clip is None:
-            clip = self._load(request)
-            self._cache[key] = clip
-        return clip
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-    def _load(self, request: ClipRequest) -> AudioClip:
         path = self._index.get((normalize(request.unit_text), request.weight))
         if path is None:
             raise ClipUnavailable(request.unit_text, request.weight.tag)
@@ -232,10 +211,3 @@ class ClipDirectory(ClipProvider):
             return AudioClip(clip.samples[:expected], self.sample_rate)
         pad = np.zeros(expected - got, dtype=np.int16)
         return AudioClip(np.concatenate([clip.samples, pad]), self.sample_rate)
-
-
-def load_clip_dir(
-    directory: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE
-) -> ClipDirectory:
-    """Scan a directory of recorded unit clips."""
-    return ClipDirectory(directory, sample_rate)

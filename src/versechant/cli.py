@@ -2,9 +2,10 @@
 
 Three subcommands: ``scan`` prints the metre and per-unit timing
 table, ``units`` prints the syllabic unit split, ``synth`` renders a
-WAV file.  Machine-readable output goes to stdout, progress and
-errors to stderr.  Exit codes: 0 success, 1 pipeline error, 2 usage
-error.
+WAV file.  All three share one front end, so Devanagari input is
+detected and converted the same way everywhere.  Machine-readable
+output goes to stdout, progress and errors to stderr.  Exit codes:
+0 success, 1 pipeline error, 2 usage error (bad options or empty text).
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ChantError
-from .sandhi import apply_all
-from .synthesis import Config, prepare, synthesize
-from .transliteration import (
-    detect_devanagari,
-    devanagari_to_latin,
-    split_quarters,
-    tokenize,
-)
-from .units import split_into_units
+from .errors import ChantError, ConfigError
+from .synthesis import Config, prepare, split_text, synthesize
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,10 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-require-metre", action="store_true",
         help="render unmatched verses flat instead of failing",
-    )
-    common.add_argument(
-        "--devanagari", action="store_true",
-        help="force Devanagari input (default: auto-detect)",
     )
 
     parser = argparse.ArgumentParser(
@@ -128,9 +117,8 @@ def _cmd_scan(text: str, config: Config) -> int:
 
 
 def _cmd_units(text: str, config: Config) -> int:
-    for chunk in split_quarters(text):
-        stream = apply_all(tokenize(chunk))
-        for unit in split_into_units(stream):
+    for units in split_text(text):
+        for unit in units:
             print(unit.text)
     return 0
 
@@ -151,13 +139,15 @@ def _cmd_synth(text: str, config: Config, out: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     text = _read_text(args.text)
+    if not text.strip():
+        print("error: empty verse text", file=sys.stderr)
+        return 2
     try:
-        if args.devanagari or detect_devanagari(text):
-            text = devanagari_to_latin(text)
-        if not text.strip():
-            print("error: empty verse text", file=sys.stderr)
-            return 2
         config = _config(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         if args.command == "scan":
             return _cmd_scan(text, config)
         if args.command == "units":

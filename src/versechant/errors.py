@@ -15,6 +15,10 @@ class ChantError(Exception):
     stage: str | None = None
 
 
+class ConfigError(ChantError):
+    """A rendering setting is out of range (beat, rate, base frequency)."""
+
+
 class UnsupportedCodePoint(ChantError):
     """Input contains a code point the engine does not accept."""
 

@@ -14,11 +14,9 @@ from importlib import resources
 from pathlib import Path
 
 from .alphabet import VowelLength
+from .dsp import PITCH_MAX, PITCH_MIN
 from .errors import MetreDbError, NoMatchingMetre, PitchArrayOverrun
 from .units import Unit
-
-PITCH_MIN = -7
-PITCH_MAX = 4
 
 # Clusters that do not lengthen a preceding short nucleus unless the
 # optional promotion is switched on.
@@ -119,10 +117,6 @@ class MetreRecord:
     def pitch_array(self, quarter: int) -> tuple[int, ...]:
         """Pitch row for quarter index 0..3."""
         return self.pitch_q13 if quarter % 2 == 0 else self.pitch_q24
-
-    @property
-    def pitch_arrays(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.pitch_array(q) for q in range(4))
 
     def caesura_positions(self, quarter: int) -> tuple[int, ...]:
         """1-based unit positions after which a rest falls; the
@@ -270,10 +264,6 @@ class VerseAnalysis:
     quarters: tuple[tuple[WeightedUnit, ...], ...]
     metre: MetreRecord | None
 
-    @property
-    def n_per_quarter(self) -> tuple[int, ...]:
-        return tuple(len(q) for q in self.quarters)
-
     def pitches(self, quarter: int) -> tuple[int, ...]:
         """Semitone offsets for the quarter's units, flat without a metre."""
         n = len(self.quarters[quarter])
@@ -300,6 +290,22 @@ def _slice_by_counts(units: list[Unit], counts) -> list[list[Unit]]:
     return out
 
 
+def _patterns(quarters) -> list[str]:
+    return [pattern_string([wu.contextual for wu in quarter]) for quarter in quarters]
+
+
+def _cuts(weighted, quarter_units, db, promote):
+    """Candidate (quarters, records) pairs, in the order they are tried."""
+    if len(quarter_units) == 4:
+        yield weighted, db
+        return
+    pooled = [unit for units in quarter_units for unit in units]
+    for record in db:
+        if sum(record.syllables) == len(pooled):
+            sliced = _slice_by_counts(pooled, record.syllables)
+            yield [weigh_units(s, promote) for s in sliced], [record]
+
+
 def analyze_quarters(
     quarter_units: list[list[Unit]],
     db: list[MetreRecord],
@@ -308,43 +314,25 @@ def analyze_quarters(
 ) -> VerseAnalysis:
     """Weigh the quarters and find their metre.
 
-    With exactly four chunks the metre is classified directly.  Any
-    other chunk count means the verse came without usable quarter
-    marks, so the pooled unit sequence is re-cut by each metre's
-    syllable counts until one fits.  With ``require_metre`` off an
-    unmatched verse is kept chunk-per-quarter with no metre.
+    Each candidate cut of the units into four quarters is checked with
+    ``classify_metre``.  Four chunks are one cut, checked against the
+    whole database.  Any other chunk count means the verse came without
+    usable quarter marks, so the pooled unit sequence is re-cut by the
+    syllable counts of each record whose total matches, and each cut
+    is checked against its own record, in file order.  With
+    ``require_metre`` off an unmatched verse is kept chunk-per-quarter
+    with no metre.
     """
     weighted = [weigh_units(units, promote_light_clusters) for units in quarter_units]
-    if len(quarter_units) == 4:
-        patterns = [
-            pattern_string([wu.contextual for wu in quarter]) for quarter in weighted
-        ]
+    cuts = _cuts(weighted, quarter_units, db, promote_light_clusters)
+    for quarters, records in cuts:
         try:
-            metre = classify_metre(patterns, db)
-            return VerseAnalysis(tuple(tuple(q) for q in weighted), metre)
+            metre = classify_metre(_patterns(quarters), records)
         except NoMatchingMetre:
-            if not require_metre:
-                return VerseAnalysis(tuple(tuple(q) for q in weighted), None)
-            raise
-
-    pooled = [unit for units in quarter_units for unit in units]
-    for record in db:
-        if sum(record.syllables) != len(pooled):
             continue
-        sliced = _slice_by_counts(pooled, record.syllables)
-        candidate = [weigh_units(s, promote_light_clusters) for s in sliced]
-        if record.pattern is not None:
-            patterns = [
-                pattern_string([wu.contextual for wu in quarter])
-                for quarter in candidate
-            ]
-            if not all(
-                _quarter_fits(obs, want)
-                for obs, want in zip(patterns, record.pattern)
-            ):
-                continue
-        return VerseAnalysis(tuple(tuple(q) for q in candidate), record)
+        return VerseAnalysis(tuple(tuple(q) for q in quarters), metre)
 
     if require_metre:
-        raise NoMatchingMetre([len(units) for units in quarter_units])
+        patterns = _patterns(weighted) if len(weighted) == 4 else None
+        raise NoMatchingMetre([len(q) for q in weighted], patterns)
     return VerseAnalysis(tuple(tuple(q) for q in weighted), None)

@@ -13,6 +13,7 @@ every quarter fills exactly its expected beats.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from .dsp import (
     silence,
     write_wav,
 )
-from .errors import ChantError, EmptyVerse
+from .errors import ChantError, ConfigError, EmptyVerse
 from .prosody import VerseAnalysis, Weight, analyze_quarters, load_metre_db
 from .sandhi import apply_all
 from .transliteration import detect_devanagari, devanagari_to_latin, split_quarters, tokenize
@@ -44,6 +45,18 @@ class Config:
     metre_db_path: str | Path | None = None
     clip_dir: str | Path | None = None
     require_metre: bool = True
+
+    def __post_init__(self):
+        beat, rate, freq = self.beat_seconds, self.sample_rate, self.base_freq
+        if not (math.isfinite(beat) and beat > 0):
+            raise ConfigError(f"beat must be a positive number of seconds, got {beat}")
+        if not rate > 0:
+            raise ConfigError(f"sample rate must be positive, got {rate}")
+        if not (math.isfinite(freq) and 0 < freq < rate / 2):
+            raise ConfigError(f"base frequency must lie in (0, {rate / 2:g}), got {freq}")
+        if self.crossfade and beat * rate < crossfade_frames(rate):
+            # each join would eat more than a whole one-beat piece
+            raise ConfigError(f"a beat of {beat} s is shorter than the 5 ms crossfade")
 
 
 @dataclass(frozen=True)
@@ -171,9 +184,13 @@ def _stage(name: str):
         raise
 
 
-def prepare(text: str, config: Config | None = None) -> VersePlan:
-    """Analyze verse text into a beat-exact rendering plan (no audio)."""
-    config = config if config is not None else Config()
+def split_text(text: str) -> list[list[Unit]]:
+    """The front end: verse text to syllabic units, one list per quarter.
+
+    Devanagari is converted to its romanized form, the text is split
+    into quarter chunks, and each chunk is tokenized, sandhi-corrected
+    and split into units.  Errors carry the stage they escaped from.
+    """
     with _stage("transliteration"):
         if detect_devanagari(text):
             text = devanagari_to_latin(text)
@@ -191,7 +208,13 @@ def prepare(text: str, config: Config | None = None) -> VersePlan:
             stream = apply_all(stream)
         with _stage("unit split"):
             quarter_units.append(split_into_units(stream))
+    return quarter_units
 
+
+def prepare(text: str, config: Config | None = None) -> VersePlan:
+    """Analyze verse text into a beat-exact rendering plan (no audio)."""
+    config = config if config is not None else Config()
+    quarter_units = split_text(text)
     with _stage("metre"):
         db = load_metre_db(config.metre_db_path)
         analysis = analyze_quarters(
@@ -221,15 +244,18 @@ def prepare(text: str, config: Config | None = None) -> VersePlan:
 
 
 def _quarter_pieces(
-    plan: QuarterPlan, store: ClipProvider, config: Config
+    plan: QuarterPlan, store: ClipProvider, config: Config, clips: dict
 ) -> list[AudioClip]:
+    # ``clips`` memoizes the store: each distinct request is fetched once
     pieces = []
     for pos, tu in enumerate(plan.timed, start=1):
         request = ClipRequest(
             tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds
         )
         with _stage("clips"):
-            clip = store.get_clip(request)
+            clip = clips.get(request)
+            if clip is None:
+                clip = clips[request] = store.get_clip(request)
         with _stage("pitch"):
             clip = pitch_shift(clip, tu.pitch)
         pieces.append(clip)
@@ -247,7 +273,7 @@ def render_quarter(
 ) -> AudioClip:
     """Render one quarter to audio on its own."""
     xf = crossfade_frames(config.sample_rate) if config.crossfade else 0
-    return concat(_quarter_pieces(plan.quarters[quarter], store, config), xf)
+    return concat(_quarter_pieces(plan.quarters[quarter], store, config, {}), xf)
 
 
 def _make_store(config: Config) -> ClipProvider:
@@ -262,19 +288,20 @@ def synthesize(
     out_path: str | Path | None = None,
     store: ClipProvider | None = None,
 ) -> RenderResult:
-    """Render a verse to one audio clip, optionally writing a WAV file."""
+    """Render a verse to one audio clip, optionally writing a WAV file.
+
+    Each distinct clip request goes to the store once per render.
+    """
     config = config if config is not None else Config()
     plan = prepare(text, config)
     store = store if store is not None else _make_store(config)
     xf = crossfade_frames(config.sample_rate) if config.crossfade else 0
-    try:
-        with _stage("render"):
-            pieces: list[AudioClip] = []
-            for q in range(len(plan.quarters)):
-                pieces.extend(_quarter_pieces(plan.quarters[q], store, config))
-            clip = concat(pieces, xf)
-    finally:
-        store.clear_cache()
+    clips: dict[ClipRequest, AudioClip] = {}
+    with _stage("render"):
+        pieces: list[AudioClip] = []
+        for quarter in plan.quarters:
+            pieces.extend(_quarter_pieces(quarter, store, config, clips))
+        clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:
         wav_path = Path(out_path)

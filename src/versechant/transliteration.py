@@ -2,8 +2,8 @@
 
 The letter stream is the pipeline's working form: a flat tuple of
 alphabet letters plus the set of indices where a new word starts.
-Rendering a stream back to text joins letter texts with single spaces
-at the word breaks, so tokenize/render round-trip exactly on
+``LetterStream.text`` joins letter texts with single spaces at the
+word breaks, so tokenize and ``text()`` round-trip exactly on
 canonical, single-spaced romanized input.
 """
 
@@ -67,10 +67,6 @@ class LetterStream:
             end = starts[k + 1] if k + 1 < len(starts) else len(self.letters)
             spans.append((start, end))
         return spans if self.letters else []
-
-
-def render(stream: LetterStream) -> str:
-    return stream.text()
 
 
 def _match_letter(s: str, i: int) -> Letter | None:

@@ -15,7 +15,7 @@ from versechant.dsp import crossfade_frames, pitch_shift, read_wav, time_stretch
 from versechant.prosody import Weight, load_metre_db, weigh_units
 from versechant.sandhi import apply_all
 from versechant.synthesis import Config, TimedUnit, adjust_beat, synthesize
-from versechant.transliteration import render, split_quarters, tokenize
+from versechant.transliteration import split_quarters, tokenize
 from versechant.units import Unit, split_into_units
 
 from conftest import (
@@ -76,7 +76,7 @@ def test_acceptance_2_weight_vectors():
 def test_acceptance_3_sandhi_corrections():
     with report(3, "sandhi corrections"):
         def chant(text: str) -> str:
-            return render(apply_all(tokenize(text)))
+            return apply_all(tokenize(text)).text()
 
         assert chant("vahni") == "vanhi"
         assert chant("samnyāsa") == "sannyāsa"

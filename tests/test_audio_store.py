@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from versechant.audio_store import (
+    ClipDirectory,
     ClipRequest,
     SyntheticVoice,
-    load_clip_dir,
     synth_clip,
 )
 from versechant.dsp import write_wav
 from versechant.errors import BadWav, ClipUnavailable
 from versechant.prosody import Weight
+from versechant.synthesis import Config, synthesize
 
 from conftest import fft_peak_hz, sine_clip
 
@@ -68,15 +69,27 @@ def test_request_validation():
         ClipRequest("van", Weight.LAGHU, 0.0)
 
 
-def test_synthetic_voice_caches_within_render():
-    voice = SyntheticVoice()
-    req = ClipRequest("gu", Weight.LAGHU, 0.5)
-    first = voice.get_clip(req)
-    assert voice.get_clip(req) is first
-    voice.clear_cache()
-    again = voice.get_clip(req)
-    assert again is not first
-    assert np.array_equal(again.samples, first.samples)
+class CountingVoice(SyntheticVoice):
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def get_clip(self, request):
+        self.requests.append(request)
+        return super().get_clip(request)
+
+
+def test_render_fetches_each_clip_once():
+    config = Config(require_metre=False)
+    voice = CountingVoice()
+    result = synthesize("vande vande", config, store=voice)
+    needed = [
+        ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds)
+        for q in result.plan.quarters
+        for tu in q.timed
+    ]
+    assert len(needed) > len(set(needed))  # the text repeats a unit
+    assert sorted(voice.requests, key=repr) == sorted(set(needed), key=repr)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +104,7 @@ def test_clip_directory_lookup(tmp_path):
     _write_clip(tmp_path, "ṇāṃ_g.wav", synth_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5)))
     _write_clip(tmp_path, "notaclip.wav", sine_clip(440, 0.1))
     _write_clip(tmp_path, "bad_x.wav", sine_clip(440, 0.1))
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     assert len(store) == 2
     clip = store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
     assert clip.n_frames == expected_frames(Weight.LAGHU, 0.5)
@@ -100,14 +113,14 @@ def test_clip_directory_lookup(tmp_path):
 
 
 def test_clip_directory_missing_unit(tmp_path):
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     with pytest.raises(ClipUnavailable):
         store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
 
 
 def test_clip_directory_weight_distinguishes(tmp_path):
     _write_clip(tmp_path, "de_g.wav", synth_clip(ClipRequest("de", Weight.GURU, 0.5)))
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     with pytest.raises(ClipUnavailable):
         store.get_clip(ClipRequest("de", Weight.LAGHU, 0.5))
 
@@ -118,7 +131,7 @@ def test_small_duration_gap_padded_or_trimmed(tmp_path):
     long = sine_clip(440, (want + 300) / 44100)
     _write_clip(tmp_path, "sa_l.wav", short)
     _write_clip(tmp_path, "ma_l.wav", long)
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     padded = store.get_clip(ClipRequest("sa", Weight.LAGHU, 0.5))
     assert padded.n_frames == want
     assert not padded.samples[-200:].any()  # gap filled with silence
@@ -131,7 +144,7 @@ def test_large_duration_gap_stretched(tmp_path):
     want = expected_frames(Weight.GURU, 0.5)  # 44100
     off = sine_clip(440, 0.8)  # 20% short of 1.0 s
     _write_clip(tmp_path, "bo_g.wav", off)
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     clip = store.get_clip(ClipRequest("bo", Weight.GURU, 0.5))
     assert clip.n_frames == want
     # stretch keeps the pitch
@@ -142,7 +155,7 @@ def test_large_duration_gap_stretched(tmp_path):
 def test_other_sample_rate_resampled(tmp_path):
     clip = sine_clip(440, 0.5, rate=22050)
     _write_clip(tmp_path, "ya_l.wav", clip)
-    store = load_clip_dir(tmp_path, sample_rate=44100)
+    store = ClipDirectory(tmp_path, sample_rate=44100)
     out = store.get_clip(ClipRequest("ya", Weight.LAGHU, 0.5))
     assert out.sample_rate == 44100
     assert out.n_frames == expected_frames(Weight.LAGHU, 0.5)
@@ -152,7 +165,7 @@ def test_other_sample_rate_resampled(tmp_path):
 
 def test_bad_wav_in_directory(tmp_path):
     (tmp_path / "ha_l.wav").write_bytes(b"RIFFgarbage")
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     with pytest.raises(BadWav):
         store.get_clip(ClipRequest("ha", Weight.LAGHU, 0.5))
 
@@ -160,6 +173,6 @@ def test_bad_wav_in_directory(tmp_path):
 def test_alias_spelling_in_filename(tmp_path):
     # file written with ṛ finds requests spelled r̥
     _write_clip(tmp_path, "kṛ_l.wav", synth_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5)))
-    store = load_clip_dir(tmp_path)
+    store = ClipDirectory(tmp_path)
     clip = store.get_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5))
     assert clip.n_frames == expected_frames(Weight.LAGHU, 0.5)

@@ -130,9 +130,6 @@ def test_devanagari_flag_and_autodetect():
     code, out, _ = run_cli(["units", "वन्दे"])
     assert code == 0
     assert out.splitlines() == ["van", "de"]
-    code, out, _ = run_cli(["units", "वन्दे", "--devanagari"])
-    assert code == 0
-    assert out.splitlines() == ["van", "de"]
 
 
 def test_metre_db_flag(tmp_path):
@@ -163,6 +160,34 @@ def test_clips_flag(tmp_path):
     assert code == 0
     clip = read_wav(out_path)
     assert clip.n_frames == int((2 + 2 + 1) * 0.5 * 44100)
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        pytest.param(["scan", "vande", "--beat", "0"], 2, "beat", id="beat-zero"),
+        pytest.param(["scan", "vande", "--beat", "-1"], 2, "beat", id="beat-negative"),
+        pytest.param(["scan", "vande", "--beat", "nan"], 2, "beat", id="beat-nan"),
+        pytest.param(
+            ["scan", "vande", "--beat", "0.001"], 2, "crossfade", id="beat-under-crossfade"
+        ),
+        pytest.param(["scan", "vande", "--rate", "0"], 2, "sample rate", id="rate-zero"),
+        pytest.param(
+            ["scan", "vande", "--base-freq", "5000", "--rate", "8000"], 2,
+            "base frequency", id="base-freq-over-nyquist",
+        ),
+        pytest.param(["units", "vande x"], 1, "[tokenize]", id="units-bad-letter"),
+        pytest.param(["units", "||"], 1, "[input]", id="units-empty-verse"),
+        pytest.param(["scan", "||"], 1, "[input]", id="scan-empty-verse"),
+    ],
+)
+def test_bad_input_is_one_error_line(argv, code, fragment):
+    got, out, err = run_cli(argv)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error")
+    assert fragment in err
 
 
 def test_usage_error_exit_two():

@@ -116,7 +116,7 @@ def test_pitch_rows_map_to_quarters():
     assert record.pitch_array(2) == record.pitch_q13
     assert record.pitch_array(1) == record.pitch_q24
     assert record.pitch_array(3) == record.pitch_q24
-    assert record.pitch_arrays == (
+    assert tuple(record.pitch_array(q) for q in range(4)) == (
         record.pitch_q13, record.pitch_q24, record.pitch_q13, record.pitch_q24,
     )
 
@@ -212,7 +212,7 @@ def test_classify_no_match():
 def test_analyze_four_chunks():
     analysis = analyze_quarters(quarter_units(SAMPLE_VERSE), load_metre_db())
     assert analysis.metre.name == "Upajāti"
-    assert analysis.n_per_quarter == (11, 11, 11, 11)
+    assert tuple(len(q) for q in analysis.quarters) == (11, 11, 11, 11)
     assert analysis.pitches(0) == VAJRA_Q13
     assert analysis.pitches(1) == VAJRA_Q24
     assert analysis.caesuras(0) == (11,)
@@ -225,7 +225,7 @@ def test_analyze_resegments_unmarked_verse():
     assert len(chunks) == 2
     analysis = analyze_quarters(chunks, load_metre_db())
     assert analysis.metre.name == "Upajāti"
-    assert analysis.n_per_quarter == (11, 11, 11, 11)
+    assert tuple(len(q) for q in analysis.quarters) == (11, 11, 11, 11)
 
 
 def test_analyze_without_metre():
@@ -236,6 +236,50 @@ def test_analyze_without_metre():
     assert analysis.metre is None
     assert analysis.pitches(0) == (0,) * 5
     assert analysis.caesuras(0) == (5,)
+
+
+# Records sharing the 8-unit total of "vande gurūṇāṃ caraṇā", whose
+# contextual pattern is 11011001; only "recut" and "counts" fit it.
+_SHARED_TOTAL_DB = {
+    "shape": "syllables: 2 2 2 2\npattern: 00 00 00 00\n"
+    "pitch_q13: 0 0\npitch_q24: 0 0\n",
+    "short": "syllables: 1 2 1 2\npitch_q13: 0\npitch_q24: 0 0\n",
+    "recut": "syllables: 3 1 3 1\npattern: 110 1 100 1\n"
+    "pitch_q13: 0 1 2\npitch_q24: 3\n",
+    "counts": "syllables: 1 3 1 3\npitch_q13: 0\npitch_q24: 0 1 2\n",
+}
+
+
+def _db(*names):
+    return parse_metre_db(
+        "\n".join(f"name: {name}\n{_SHARED_TOTAL_DB[name]}" for name in names)
+    )
+
+
+@pytest.mark.parametrize(
+    "order, winner",
+    [
+        (("shape", "short", "recut", "counts"), "recut"),
+        (("shape", "short", "counts", "recut"), "counts"),
+    ],
+)
+def test_analyze_recut_first_fitting_record_wins(order, winner):
+    units = [units_of("vande gurūṇāṃ caraṇā")]
+    analysis = analyze_quarters(units, _db(*order))
+    assert analysis.metre.name == winner
+    counts = {"recut": (3, 1, 3, 1), "counts": (1, 3, 1, 3)}[winner]
+    assert tuple(len(q) for q in analysis.quarters) == counts
+
+
+def test_analyze_unmatched_error_fields():
+    with pytest.raises(NoMatchingMetre) as info:
+        analyze_quarters([units_of("vande gurūṇāṃ caraṇā")], _db("shape", "short"))
+    assert info.value.counts == (8,)
+    assert info.value.patterns is None
+    with pytest.raises(NoMatchingMetre) as info:
+        analyze_quarters(quarter_units("vande | vande | vande | vande"), load_metre_db())
+    assert info.value.counts == (2, 2, 2, 2)
+    assert info.value.patterns == ("11", "11", "11", "11")
 
 
 def test_pitch_array_overrun():

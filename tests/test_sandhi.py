@@ -9,13 +9,13 @@ from versechant.sandhi import (
     correct_visarga_aspirate,
     correct_visarga_sibilant,
 )
-from versechant.transliteration import render, tokenize
+from versechant.transliteration import tokenize
 
 from conftest import random_text
 
 
 def chant_form(text: str) -> str:
-    return render(apply_all(tokenize(text)))
+    return apply_all(tokenize(text)).text()
 
 
 def test_hn_metathesis():

@@ -10,7 +10,6 @@ from versechant.transliteration import (
     detect_devanagari,
     devanagari_to_latin,
     normalize,
-    render,
     split_quarters,
     tokenize,
 )
@@ -74,7 +73,7 @@ def test_breaks_never_at_zero_and_separators_break():
 
 def test_render_round_trip():
     for text in ("vande", "namaḥ śivāya", "kārtsnyam", "r̥ṣi", "saṃsāra ha"):
-        assert render(tokenize(text)) == text
+        assert tokenize(text).text() == text
 
 
 def test_render_round_trip_random():
@@ -82,7 +81,7 @@ def test_render_round_trip_random():
     for _ in range(300):
         text = random_text(rng)
         canonical = normalize(text)
-        assert render(tokenize(text)) == canonical
+        assert tokenize(text).text() == canonical
 
 
 def test_unknown_character_position():
@@ -151,4 +150,4 @@ def test_devanagari_rejects_digits():
 
 def test_devanagari_output_tokenizes():
     text = devanagari_to_latin("वन्दे गुरूणां चरणारविन्दे")
-    assert render(tokenize(text)) == "vande gurūṇāṃ caraṇāravinde"
+    assert tokenize(text).text() == "vande gurūṇāṃ caraṇāravinde"
