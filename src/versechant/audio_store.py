@@ -33,6 +33,9 @@ from .transliteration import normalize, tokenize
 
 _NASALS = ("ṅ", "ñ", "ṇ", "n", "m")
 
+# the synthetic vowel sums this many harmonics of the base frequency
+HARMONICS = 4
+
 
 @dataclass(frozen=True)
 class ClipRequest:
@@ -79,7 +82,7 @@ def _vowel_tone(nucleus: Letter, n: int, rate: int, base_freq: float) -> np.ndar
         return np.zeros(0)
     rng = np.random.default_rng(_seed(nucleus.text))
     # fundamental dominates so the spectral peak sits at base_freq
-    amps = np.concatenate([[1.0], rng.uniform(0.08, 0.3, 3)])
+    amps = np.concatenate([[1.0], rng.uniform(0.08, 0.3, HARMONICS - 1)])
     t = np.arange(n) / rate
     x = np.zeros(n)
     for k, amp in enumerate(amps, start=1):

@@ -70,6 +70,10 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     equal-power fade, so every join shortens the result by exactly
     ``crossfade`` frames (less when a clip is shorter than the fade).
     All clips must share one sample rate.
+
+    Runs in linear time over a single buffer: each clip is written once
+    at a running offset and only the overlap frames of a join are faded
+    in place, so a fade may re-fade frames an earlier join wrote.
     """
     if not clips:
         return AudioClip(np.zeros(0, dtype=np.int16), DEFAULT_SAMPLE_RATE)
@@ -80,17 +84,27 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     if crossfade <= 0:
         return AudioClip(np.concatenate([c.samples for c in clips]), rate)
 
-    merged = _to_float(clips[0].samples)
-    for clip in clips[1:]:
-        nxt = _to_float(clip.samples)
-        xf = min(crossfade, len(merged), len(nxt))
-        if xf == 0:
-            merged = np.concatenate([merged, nxt])
-            continue
-        t = (np.arange(xf) + 0.5) / xf
-        overlap = merged[-xf:] * np.cos(t * np.pi / 2) + nxt[:xf] * np.sin(t * np.pi / 2)
-        merged = np.concatenate([merged[:-xf], overlap, nxt[xf:]])
-    return AudioClip(_to_int16(merged), rate)
+    buf = np.empty(sum(c.n_frames for c in clips))
+    fades: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    end = 0  # frames merged so far
+    for clip in clips:
+        nxt = clip.samples
+        xf = min(crossfade, end, len(nxt))
+        if xf:
+            if xf not in fades:
+                t = (np.arange(xf) + 0.5) / xf
+                fades[xf] = (np.cos(t * np.pi / 2), np.sin(t * np.pi / 2))
+            fade_out, fade_in = fades[xf]
+            tail = buf[end - xf : end]
+            tail *= fade_out
+            tail += (nxt[:xf] / 32768.0) * fade_in
+        np.divide(nxt[xf:], 32768.0, out=buf[end : end + len(nxt) - xf])
+        end += len(nxt) - xf
+    merged = buf[:end]
+    np.multiply(merged, 32768.0, out=merged)
+    np.rint(merged, out=merged)
+    np.clip(merged, -32768, 32767, out=merged)
+    return AudioClip(merged.astype(np.int16), rate)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -18,7 +18,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .audio_store import ClipDirectory, ClipProvider, ClipRequest, SyntheticVoice
+from .audio_store import (
+    HARMONICS,
+    ClipDirectory,
+    ClipProvider,
+    ClipRequest,
+    SyntheticVoice,
+)
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
     AudioClip,
@@ -35,8 +41,11 @@ from .transliteration import detect_devanagari, devanagari_to_latin, split_quart
 from .units import Unit, split_into_units
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
+    """Rendering settings, validated once at construction and frozen,
+    so a render never sees a value that skipped the checks."""
+
     beat_seconds: float = 0.5
     sample_rate: int = DEFAULT_SAMPLE_RATE
     base_freq: float = 220.0
@@ -52,8 +61,9 @@ class Config:
             raise ConfigError(f"beat must be a positive number of seconds, got {beat}")
         if not rate > 0:
             raise ConfigError(f"sample rate must be positive, got {rate}")
-        if not (math.isfinite(freq) and 0 < freq < rate / 2):
-            raise ConfigError(f"base frequency must lie in (0, {rate / 2:g}), got {freq}")
+        top = rate / (2 * HARMONICS)  # the highest harmonic stays below Nyquist
+        if not (math.isfinite(freq) and 0 < freq < top):
+            raise ConfigError(f"base frequency must lie in (0, {top:g}), got {freq}")
         if self.crossfade and beat * rate < crossfade_frames(rate):
             # each join would eat more than a whole one-beat piece
             raise ConfigError(f"a beat of {beat} s is shorter than the 5 ms crossfade")

@@ -176,6 +176,10 @@ def test_clips_flag(tmp_path):
             ["scan", "vande", "--base-freq", "5000", "--rate", "8000"], 2,
             "base frequency", id="base-freq-over-nyquist",
         ),
+        pytest.param(
+            ["scan", "vande", "--rate", "8000", "--base-freq", "1500"], 2,
+            "base frequency", id="base-freq-harmonics-alias",
+        ),
         pytest.param(["units", "vande x"], 1, "[tokenize]", id="units-bad-letter"),
         pytest.param(["units", "||"], 1, "[input]", id="units-empty-verse"),
         pytest.param(["scan", "||"], 1, "[input]", id="scan-empty-verse"),

@@ -4,6 +4,9 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from versechant.dsp import (
     AudioClip,
@@ -20,6 +23,30 @@ from versechant.dsp import (
 from versechant.errors import BadWav, SampleRateMismatch
 
 from conftest import fft_peak_hz, sine_clip
+
+
+def reference_concat(clips: list[AudioClip], crossfade: int) -> np.ndarray:
+    """The quadratic join concat once used: the whole merged float
+    buffer is rebuilt at every join.  Kept as the oracle."""
+    merged = clips[0].samples.astype(np.float64) / 32768.0
+    for clip in clips[1:]:
+        nxt = clip.samples.astype(np.float64) / 32768.0
+        xf = min(crossfade, len(merged), len(nxt))
+        if xf == 0:
+            merged = np.concatenate([merged, nxt])
+            continue
+        t = (np.arange(xf) + 0.5) / xf
+        overlap = merged[-xf:] * np.cos(t * np.pi / 2) + nxt[:xf] * np.sin(t * np.pi / 2)
+        merged = np.concatenate([merged[:-xf], overlap, nxt[xf:]])
+    return np.clip(np.rint(merged * 32768.0), -32768, 32767).astype(np.int16)
+
+
+def joined_length(lengths: list[int], crossfade: int) -> int:
+    """Each join consumes min(crossfade, merged so far, next clip)."""
+    total = lengths[0]
+    for n in lengths[1:]:
+        total += n - min(crossfade, total, n)
+    return total
 
 
 def test_silence_frame_count():
@@ -77,6 +104,42 @@ def test_crossfade_is_smooth():
     joined = concat([a, a], crossfade=220)
     mid = joined.samples[a.n_frames - 220 : a.n_frames]
     assert np.max(np.abs(mid)) > 8000
+
+
+_samples = st.one_of(st.sampled_from([-32768, -32767, 0, 32767]), st.integers(-32768, 32767))
+_clips = st.lists(
+    arrays(np.int16, st.integers(0, 600), elements=_samples).map(
+        lambda a: AudioClip(a, 44100)
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clips=_clips, crossfade=st.integers(0, 300))
+def test_concat_matches_reference(clips, crossfade):
+    joined = concat(clips, crossfade=crossfade)
+    assert joined.sample_rate == 44100
+    assert np.array_equal(joined.samples, reference_concat(clips, crossfade))
+    assert joined.n_frames == joined_length([c.n_frames for c in clips], crossfade)
+
+
+def test_concat_matches_reference_at_long_flat_scale():
+    # about 300 half-second pieces, as one long unmetred render joins
+    rng = np.random.default_rng(7)
+    clips = [
+        AudioClip(
+            (rng.uniform(-0.9, 0.9) * 32767 * np.sin(np.arange(22050) * f)).astype(np.int16),
+            44100,
+        )
+        if k % 5
+        else silence(1, 0.5, 44100)
+        for k, f in enumerate(rng.uniform(0.01, 0.2, 300))
+    ]
+    joined = concat(clips, crossfade=220)
+    assert joined.n_frames == 300 * 22050 - 299 * 220
+    assert np.array_equal(joined.samples, reference_concat(clips, 220))
 
 
 def test_crossfade_frames_default():

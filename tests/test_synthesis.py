@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from versechant.alphabet import classify
-from versechant.audio_store import ClipRequest, SyntheticVoice, synth_clip
+from versechant.audio_store import HARMONICS, ClipRequest, SyntheticVoice, synth_clip
 from versechant.dsp import concat, crossfade_frames, read_wav, silence
 from versechant.errors import (
     ChantError,
+    ConfigError,
     EmptyVerse,
     NoMatchingMetre,
     UnknownCharacter,
@@ -187,7 +190,7 @@ def test_synthesize_from_clip_directory(tmp_path):
             weight = Weight(tu.render_beats - 1)
             clip = synth_clip(ClipRequest(tu.unit.text, weight, 0.5), 196.0)
             write_wav(clip, tmp_path / f"{tu.unit.text}_{weight.tag}.wav")
-    config.clip_dir = tmp_path
+    config = replace(config, clip_dir=tmp_path)
     result = synthesize("vande gurūṇām", config)
     want = int(round(result.plan.total_beats * 0.5 * 44100))
     assert result.clip.n_frames == want
@@ -207,3 +210,22 @@ def test_render_quarter_alone():
     clip = render_quarter(plan, 2, store, config)
     want = (plan.quarters[2].total_beats) * int(0.5 * 44100)
     assert clip.n_frames == want
+
+
+def test_config_is_frozen():
+    config = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.beat_seconds = 0
+    # a changed copy goes through the same checks
+    with pytest.raises(ConfigError, match="beat"):
+        replace(config, beat_seconds=0)
+
+
+def test_config_rejects_aliasing_base_freq():
+    # the top harmonic of the synthetic vowel must stay below Nyquist
+    assert HARMONICS == 4
+    with pytest.raises(ConfigError, match="base frequency"):
+        Config(sample_rate=8000, base_freq=1500)
+    with pytest.raises(ConfigError, match="base frequency"):
+        Config(sample_rate=8000, base_freq=8000 / (2 * HARMONICS))
+    assert Config(sample_rate=8000, base_freq=999).base_freq == 999
