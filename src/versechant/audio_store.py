@@ -23,11 +23,12 @@ from .dsp import (
     DEFAULT_SAMPLE_RATE,
     AudioClip,
     _to_int16,
+    beat_frames,
     read_wav,
     resample,
     stretch_to_length,
 )
-from .errors import BadWav, ClipUnavailable
+from .errors import BadWav, ClipUnavailable, ConfigError
 from .prosody import Weight
 from .transliteration import normalize, tokenize
 
@@ -35,6 +36,14 @@ _NASALS = ("ṅ", "ñ", "ṇ", "n", "m")
 
 # the synthetic vowel sums this many harmonics of the base frequency
 HARMONICS = 4
+
+
+def check_base_freq(base_freq: float, sample_rate: int) -> None:
+    """Raise ConfigError unless 0 < base_freq < rate / (2 * HARMONICS), so
+    the top harmonic stays below Nyquist (NaN and infinity fail too)."""
+    top = sample_rate / (2 * HARMONICS)
+    if not 0 < base_freq < top:
+        raise ConfigError(f"base frequency must lie in (0, {top:g}), got {base_freq}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +56,9 @@ class ClipRequest:
         if self.beat_seconds <= 0:
             raise ValueError("beat_seconds must be positive")
 
-    def n_beats(self) -> int:
-        return int(self.weight) + 1
+    def n_frames(self, sample_rate: int) -> int:
+        """Weight + 1 beats in frames: the one length every provider's clip has."""
+        return beat_frames(int(self.weight) + 1, self.beat_seconds, sample_rate)
 
 
 class ClipProvider(ABC):
@@ -125,7 +135,8 @@ def synth_clip(
 ) -> AudioClip:
     """Render a unit clip from scratch: noise-burst consonants around a
     harmonic vowel at base_freq.  Deterministic for a given request."""
-    n = int(round(request.n_beats() * request.beat_seconds * sample_rate))
+    check_base_freq(base_freq, sample_rate)
+    n = request.n_frames(sample_rate)
     stream = tokenize(request.unit_text)
     vowel_at = next(
         (i for i, letter in enumerate(stream.letters) if letter.is_vowel), None
@@ -204,7 +215,7 @@ class ClipDirectory(ClipProvider):
             raise BadWav(path, "clip holds no samples")
         if clip.sample_rate != self.sample_rate:
             clip = resample(clip, self.sample_rate)
-        expected = int(round(request.n_beats() * request.beat_seconds * self.sample_rate))
+        expected = request.n_frames(self.sample_rate)
         got = clip.n_frames
         if got == expected:
             return clip

@@ -155,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_synth(text, config, args.out)
     except ChantError as exc:
         where = f" [{exc.stage}]" if exc.stage else ""
+        if exc.quarter is not None:
+            where += f" in quarter {exc.quarter}"
         print(f"error{where}: {exc}", file=sys.stderr)
         return 1
 

@@ -58,8 +58,14 @@ def crossfade_frames(sample_rate: int) -> int:
     return int(round(CROSSFADE_SECONDS * sample_rate))
 
 
+def beat_frames(beats: float, beat_seconds: float, sample_rate: int) -> int:
+    """Frames in a span of ``beats`` beats: the one place a beat span
+    becomes a frame count, for unit clips and rests alike."""
+    return int(round(beats * beat_seconds * sample_rate))
+
+
 def silence(beats: float, beat_seconds: float, sample_rate: int) -> AudioClip:
-    n = int(round(beats * beat_seconds * sample_rate))
+    n = beat_frames(beats, beat_seconds, sample_rate)
     return AudioClip(np.zeros(n, dtype=np.int16), sample_rate)
 
 
@@ -257,8 +263,6 @@ def read_wav(path: str | Path) -> AudioClip:
             comp = w.getcomptype()
             rate = w.getframerate()
             data = w.readframes(w.getnframes())
-    except FileNotFoundError:
-        raise
     except (wave.Error, EOFError) as exc:
         raise BadWav(path, str(exc)) from None
     if comp != "NONE":

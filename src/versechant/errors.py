@@ -1,8 +1,8 @@
 """Exception types raised across the chant pipeline.
 
 Every error derives from ChantError so callers can catch the whole
-family at once.  The synthesis driver annotates the pipeline stage on
-the way out via the ``stage`` attribute.
+family at once.  The synthesis driver annotates the pipeline stage and
+the 1-based quarter on the way out (``stage``, ``quarter``).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ class ChantError(Exception):
 
     #: pipeline stage name, filled in by the synthesis driver
     stage: str | None = None
+    #: 1-based quarter (input chunk) the error arose in, when known
+    quarter: int | None = None
 
 
 class ConfigError(ChantError):
@@ -83,7 +85,7 @@ class PitchArrayOverrun(ChantError):
     """A quarter has more units than its metre's pitch array."""
 
     def __init__(self, quarter: int, n_units: int, n_pitches: int):
-        self.quarter = quarter
+        self.quarter = quarter + 1
         super().__init__(
             f"quarter {quarter + 1} has {n_units} units but the pitch "
             f"array holds only {n_pitches}"

@@ -236,22 +236,14 @@ def classify_metre(
     """
     counts = [len(p) for p in patterns]
     for record in db:
-        if len(counts) != 4 or tuple(counts) != record.syllables:
+        if tuple(counts) != record.syllables:
             continue
         if record.pattern is None:
             return record
-        if all(
-            _quarter_fits(obs, want) for obs, want in zip(patterns, record.pattern)
-        ):
+        # last syllable of a quarter is anceps
+        if all(obs[:-1] == want[:-1] for obs, want in zip(patterns, record.pattern)):
             return record
     raise NoMatchingMetre(counts, patterns)
-
-
-def _quarter_fits(observed: str, expected: str) -> bool:
-    if len(observed) != len(expected):
-        return False
-    # last syllable of a quarter is anceps
-    return observed[:-1] == expected[:-1]
 
 
 # ---------------------------------------------------------------------------

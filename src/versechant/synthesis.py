@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .audio_store import (
-    HARMONICS,
     ClipDirectory,
     ClipProvider,
     ClipRequest,
     SyntheticVoice,
+    check_base_freq,
 )
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
@@ -61,9 +61,7 @@ class Config:
             raise ConfigError(f"beat must be a positive number of seconds, got {beat}")
         if not rate > 0:
             raise ConfigError(f"sample rate must be positive, got {rate}")
-        top = rate / (2 * HARMONICS)  # the highest harmonic stays below Nyquist
-        if not (math.isfinite(freq) and 0 < freq < top):
-            raise ConfigError(f"base frequency must lie in (0, {top:g}), got {freq}")
+        check_base_freq(freq, rate)
         if self.crossfade and beat * rate < crossfade_frames(rate):
             # each join would eat more than a whole one-beat piece
             raise ConfigError(f"a beat of {beat} s is shorter than the 5 ms crossfade")
@@ -86,16 +84,6 @@ class TimedUnit:
     trailing_silence_beats: int
 
 
-def expected_time(contextual_weights) -> int:
-    """Beats the sequence owes the metre: sum of v + 1."""
-    return sum(int(w) + 1 for w in contextual_weights)
-
-
-def actual_time(isolated_weights) -> int:
-    """Beats the bare clips would fill: sum of t + 1."""
-    return sum(int(w) + 1 for w in isolated_weights)
-
-
 def adjust_beat(timed: list[TimedUnit]) -> list[TimedUnit]:
     """Make each unit fill its metrical time.
 
@@ -105,28 +93,11 @@ def adjust_beat(timed: list[TimedUnit]) -> list[TimedUnit]:
     """
     out = []
     for tu in timed:
-        if tu.isolated < tu.contextual:
-            gap = int(tu.contextual) - int(tu.isolated)
-            if tu.unit.word_final:
-                out.append(
-                    replace(
-                        tu,
-                        render_beats=int(tu.isolated) + 1,
-                        trailing_silence_beats=gap,
-                    )
-                )
-            else:
-                out.append(
-                    replace(
-                        tu,
-                        render_beats=int(tu.contextual) + 1,
-                        trailing_silence_beats=0,
-                    )
-                )
-        else:
-            out.append(
-                replace(tu, render_beats=int(tu.isolated) + 1, trailing_silence_beats=0)
-            )
+        t, v = int(tu.isolated), int(tu.contextual)
+        rest = v - t if t < v and tu.unit.word_final else 0
+        out.append(
+            replace(tu, render_beats=max(t, v) + 1 - rest, trailing_silence_beats=rest)
+        )
     return out
 
 
@@ -137,24 +108,36 @@ class QuarterPlan:
 
     @property
     def expected_beats(self) -> int:
-        return expected_time(tu.contextual for tu in self.timed)
+        """Beats the quarter owes the metre: sum of v + 1."""
+        return sum(int(tu.contextual) + 1 for tu in self.timed)
 
     @property
     def actual_beats(self) -> int:
-        return actual_time(tu.isolated for tu in self.timed)
+        """Beats the bare clips would fill: sum of t + 1."""
+        return sum(int(tu.isolated) + 1 for tu in self.timed)
+
+    def slots(self) -> tuple[tuple[TimedUnit | None, int], ...]:
+        """The quarter's pieces in grid order with their beats: the one
+        place the grid's piece layout is decided.  A chanted unit is
+        ``(unit, render_beats)``; a rest is ``(None, beats)``, first the
+        unit's trailing silence, then the caesura rest."""
+        out: list[tuple[TimedUnit | None, int]] = []
+        for pos, tu in enumerate(self.timed, start=1):
+            out.append((tu, tu.render_beats))
+            if tu.trailing_silence_beats:
+                out.append((None, tu.trailing_silence_beats))
+            if pos in self.caesuras:
+                out.append((None, 1))
+        return tuple(out)
 
     @property
     def total_beats(self) -> int:
-        return self.expected_beats + len(self.caesuras)
+        return sum(beats for _, beats in self.slots())
 
     @property
     def piece_count(self) -> int:
         """Clips this quarter contributes: units, rests, silences."""
-        return (
-            len(self.timed)
-            + sum(1 for tu in self.timed if tu.trailing_silence_beats)
-            + len(self.caesuras)
-        )
+        return len(self.slots())
 
 
 @dataclass(frozen=True)
@@ -184,13 +167,15 @@ class RenderResult:
 
 
 @contextmanager
-def _stage(name: str):
-    # annotate errors with the pipeline stage they escaped from
+def _stage(name: str, quarter: int | None = None):
+    # annotate errors with the stage and 1-based quarter they escaped from
     try:
         yield
     except ChantError as exc:
         if exc.stage is None:
             exc.stage = name
+        if exc.quarter is None:
+            exc.quarter = quarter
         raise
 
 
@@ -199,7 +184,8 @@ def split_text(text: str) -> list[list[Unit]]:
 
     Devanagari is converted to its romanized form, the text is split
     into quarter chunks, and each chunk is tokenized, sandhi-corrected
-    and split into units.  Errors carry the stage they escaped from.
+    and split into units.  Errors carry the stage they escaped from
+    and, from tokenizing on, the 1-based number of their chunk.
     """
     with _stage("transliteration"):
         if detect_devanagari(text):
@@ -211,12 +197,12 @@ def split_text(text: str) -> list[list[Unit]]:
         raise err
 
     quarter_units: list[list[Unit]] = []
-    for chunk in chunks:
-        with _stage("tokenize"):
+    for q, chunk in enumerate(chunks, start=1):
+        with _stage("tokenize", q):
             stream = tokenize(chunk)
-        with _stage("sandhi"):
+        with _stage("sandhi", q):
             stream = apply_all(stream)
-        with _stage("unit split"):
+        with _stage("unit split", q):
             quarter_units.append(split_into_units(stream))
     return quarter_units
 
@@ -253,45 +239,6 @@ def prepare(text: str, config: Config | None = None) -> VersePlan:
     return VersePlan(analysis, tuple(plans))
 
 
-def _quarter_pieces(
-    plan: QuarterPlan, store: ClipProvider, config: Config, clips: dict
-) -> list[AudioClip]:
-    # ``clips`` memoizes the store: each distinct request is fetched once
-    pieces = []
-    for pos, tu in enumerate(plan.timed, start=1):
-        request = ClipRequest(
-            tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds
-        )
-        with _stage("clips"):
-            clip = clips.get(request)
-            if clip is None:
-                clip = clips[request] = store.get_clip(request)
-        with _stage("pitch"):
-            clip = pitch_shift(clip, tu.pitch)
-        pieces.append(clip)
-        if tu.trailing_silence_beats:
-            pieces.append(
-                silence(tu.trailing_silence_beats, config.beat_seconds, config.sample_rate)
-            )
-        if pos in plan.caesuras:
-            pieces.append(silence(1, config.beat_seconds, config.sample_rate))
-    return pieces
-
-
-def render_quarter(
-    plan: VersePlan, quarter: int, store: ClipProvider, config: Config
-) -> AudioClip:
-    """Render one quarter to audio on its own."""
-    xf = crossfade_frames(config.sample_rate) if config.crossfade else 0
-    return concat(_quarter_pieces(plan.quarters[quarter], store, config, {}), xf)
-
-
-def _make_store(config: Config) -> ClipProvider:
-    if config.clip_dir is not None:
-        return ClipDirectory(config.clip_dir, config.sample_rate)
-    return SyntheticVoice(config.base_freq, config.sample_rate)
-
-
 def synthesize(
     text: str,
     config: Config | None = None,
@@ -300,17 +247,33 @@ def synthesize(
 ) -> RenderResult:
     """Render a verse to one audio clip, optionally writing a WAV file.
 
-    Each distinct clip request goes to the store once per render.
+    Each quarter's slots are rendered in grid order: a unit's clip,
+    pitch-shifted per the metre, or a rest of silence.  Each distinct
+    clip request goes to the store once per render.
     """
     config = config if config is not None else Config()
     plan = prepare(text, config)
-    store = store if store is not None else _make_store(config)
-    xf = crossfade_frames(config.sample_rate) if config.crossfade else 0
+    if store is None and config.clip_dir is not None:
+        store = ClipDirectory(config.clip_dir, config.sample_rate)
+    elif store is None:
+        store = SyntheticVoice(config.base_freq, config.sample_rate)
+    beat, rate = config.beat_seconds, config.sample_rate
+    xf = crossfade_frames(rate) if config.crossfade else 0
     clips: dict[ClipRequest, AudioClip] = {}
     with _stage("render"):
         pieces: list[AudioClip] = []
         for quarter in plan.quarters:
-            pieces.extend(_quarter_pieces(quarter, store, config, clips))
+            for tu, beats in quarter.slots():
+                if tu is None:
+                    pieces.append(silence(beats, beat, rate))
+                    continue
+                request = ClipRequest(tu.unit.text, Weight(beats - 1), beat)
+                with _stage("clips"):
+                    clip = clips.get(request)
+                    if clip is None:
+                        clip = clips[request] = store.get_clip(request)
+                with _stage("pitch"):
+                    pieces.append(pitch_shift(clip, tu.pitch))
         clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:

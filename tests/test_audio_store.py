@@ -10,7 +10,7 @@ from versechant.audio_store import (
     synth_clip,
 )
 from versechant.dsp import write_wav
-from versechant.errors import BadWav, ClipUnavailable
+from versechant.errors import BadWav, ClipUnavailable, ConfigError
 from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
 
@@ -19,6 +19,12 @@ from conftest import fft_peak_hz, sine_clip
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
     return int(round((int(weight) + 1) * beat * rate))
+
+
+def test_synth_clip_rejects_aliasing_base_freq():
+    # the bound holds for direct calls too, not only through Config
+    with pytest.raises(ConfigError, match="base frequency"):
+        synth_clip(ClipRequest("ā", Weight.GURU, 0.5), 1500.0, 8000)
 
 
 def test_synth_clip_duration_exact():

@@ -194,6 +194,13 @@ def test_bad_input_is_one_error_line(argv, code, fragment):
     assert fragment in err
 
 
+def test_front_end_error_names_its_quarter():
+    code, out, err = run_cli(["scan", SAMPLE_VERSE.replace(" ||", " x ||")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [tokenize] in quarter 4: ")
+
+
 def test_usage_error_exit_two():
     err = io.StringIO()
     with pytest.raises(SystemExit) as info:

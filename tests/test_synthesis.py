@@ -7,9 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from versechant.alphabet import classify
-from versechant.audio_store import HARMONICS, ClipRequest, SyntheticVoice, synth_clip
-from versechant.dsp import concat, crossfade_frames, read_wav, silence
+from versechant.audio_store import HARMONICS, ClipRequest, synth_clip
+from versechant.dsp import beat_frames, concat, crossfade_frames, read_wav, silence
 from versechant.errors import (
     ChantError,
     ConfigError,
@@ -21,16 +24,13 @@ from versechant.prosody import Weight
 from versechant.synthesis import (
     Config,
     TimedUnit,
-    actual_time,
     adjust_beat,
-    expected_time,
     prepare,
-    render_quarter,
     synthesize,
 )
 from versechant.units import Unit
 
-from conftest import Q1_T, Q1_TA, Q1_TE, Q1_V, SAMPLE_VERSE
+from conftest import Q1_T, Q1_TA, Q1_TE, Q1_V, SAMPLE_VERSE, random_text
 
 
 def make_timed(t: int, v: int, word_final: bool) -> TimedUnit:
@@ -39,9 +39,11 @@ def make_timed(t: int, v: int, word_final: bool) -> TimedUnit:
 
 
 def test_expected_and_actual_time():
-    assert expected_time(Weight(v) for v in Q1_V) == Q1_TE == 18
-    assert actual_time(Weight(t) for t in Q1_T) == Q1_TA == 16
-    assert expected_time([]) == 0
+    quarter = prepare(SAMPLE_VERSE).quarters[0]
+    assert [int(tu.isolated) for tu in quarter.timed] == Q1_T
+    assert [int(tu.contextual) for tu in quarter.timed] == Q1_V
+    assert quarter.expected_beats == Q1_TE == 18
+    assert quarter.actual_beats == Q1_TA == 16
 
 
 def test_adjust_beat_cases():
@@ -70,7 +72,7 @@ def test_beat_conservation_random():
             timed.append(make_timed(t, v, word_final=rng.random() < 0.4))
         adjusted = adjust_beat(timed)
         total = sum(tu.render_beats + tu.trailing_silence_beats for tu in adjusted)
-        assert total == expected_time(tu.contextual for tu in timed)
+        assert total == sum(int(tu.contextual) + 1 for tu in timed)
 
 
 def test_prepare_sample_verse():
@@ -110,6 +112,13 @@ def test_prepare_stage_annotation():
     with pytest.raises(UnknownCharacter) as info:
         prepare("vande qurūṇāṃ x4 ||", Config())
     assert info.value.stage == "tokenize"
+
+
+def test_prepare_error_names_its_quarter():
+    with pytest.raises(UnknownCharacter) as info:
+        prepare(SAMPLE_VERSE.replace(" ||", " x ||"))
+    assert info.value.stage == "tokenize"
+    assert info.value.quarter == 4
 
 
 def test_prepare_unmatched_verse():
@@ -164,17 +173,16 @@ def test_zero_pitch_equals_plain_concatenation(tmp_path):
         encoding="utf-8",
     )
     config = Config(metre_db_path=db, crossfade=False)
-    plan = prepare(SAMPLE_VERSE, config)
-    store = SyntheticVoice(config.base_freq, config.sample_rate)
-    rendered = render_quarter(plan, 0, store, config)
+    rendered = synthesize(SAMPLE_VERSE, config).clip
 
     pieces = []
-    for tu in plan.quarters[0].timed:
-        req = ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), 0.5)
-        pieces.append(synth_clip(req, config.base_freq, config.sample_rate))
-        if tu.trailing_silence_beats:
-            pieces.append(silence(tu.trailing_silence_beats, 0.5, 44100))
-    pieces.append(silence(1, 0.5, 44100))
+    for quarter in prepare(SAMPLE_VERSE, config).quarters:
+        for tu in quarter.timed:
+            req = ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), 0.5)
+            pieces.append(synth_clip(req, config.base_freq, config.sample_rate))
+            if tu.trailing_silence_beats:
+                pieces.append(silence(tu.trailing_silence_beats, 0.5, 44100))
+        pieces.append(silence(1, 0.5, 44100))
     want = concat(pieces)
     assert np.array_equal(rendered.samples, want.samples)
 
@@ -203,15 +211,6 @@ def test_synthesize_missing_clip_annotated(tmp_path):
     assert info.value.stage == "clips"
 
 
-def test_render_quarter_alone():
-    config = Config(crossfade=False)
-    plan = prepare(SAMPLE_VERSE, config)
-    store = SyntheticVoice()
-    clip = render_quarter(plan, 2, store, config)
-    want = (plan.quarters[2].total_beats) * int(0.5 * 44100)
-    assert clip.n_frames == want
-
-
 def test_config_is_frozen():
     config = Config()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -229,3 +228,44 @@ def test_config_rejects_aliasing_base_freq():
     with pytest.raises(ConfigError, match="base frequency"):
         Config(sample_rate=8000, base_freq=8000 / (2 * HARMONICS))
     assert Config(sample_rate=8000, base_freq=999).base_freq == 999
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n_lines=st.integers(1, 4))
+def test_beat_grid_slots_and_frames(rng, n_lines):
+    config = Config(
+        require_metre=False, crossfade=False, sample_rate=8000, beat_seconds=0.02
+    )
+    text = "\n".join(random_text(rng) for _ in range(n_lines))
+    result = synthesize(text, config)
+    slots = []
+    for quarter in result.plan.quarters:
+        want = []
+        for pos, tu in enumerate(quarter.timed, start=1):
+            want.append((tu, tu.render_beats))
+            if tu.trailing_silence_beats:
+                want.append((None, tu.trailing_silence_beats))
+            if pos in quarter.caesuras:
+                want.append((None, 1))
+        assert quarter.slots() == tuple(want)
+        assert quarter.total_beats == quarter.expected_beats + len(quarter.caesuras)
+        slots.extend(quarter.slots())
+    assert result.clip.n_frames == sum(beat_frames(b, 0.02, 8000) for _, b in slots)
+    assert result.joins == len(slots) - 1
+
+
+_VERSE_CHARS = st.sampled_from(
+    list("aāiīuūeokgcjṭḍtdnpbmyrlvśṣshṃḥṅñṇ |\nxq4") + ["r̥", "ai", "वन्दे", "।", "॥"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(st.text(), st.lists(_VERSE_CHARS, max_size=60).map("".join)),
+    require_metre=st.booleans(),
+)
+def test_prepare_fails_only_with_a_staged_chant_error(text, require_metre):
+    try:
+        prepare(text, Config(require_metre=require_metre))
+    except ChantError as exc:
+        assert exc.stage is not None
