@@ -6,7 +6,7 @@ contour, and per-unit clips are concatenated on a beat grid into a
 chant.
 """
 
-from .dsp import AudioClip, concat, pitch_shift, read_wav, silence, time_stretch, write_wav
+from .dsp import AudioClip, concat, pitch_shift, read_wav, silence, write_wav
 from .errors import ChantError
 from .prosody import Weight, load_metre_db
 from .synthesis import Config, RenderResult, prepare, synthesize
@@ -26,7 +26,6 @@ __all__ = [
     "read_wav",
     "silence",
     "synthesize",
-    "time_stretch",
     "write_wav",
     "__version__",
 ]

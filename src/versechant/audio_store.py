@@ -21,6 +21,7 @@ import numpy as np
 from .alphabet import Category, Letter
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
+    PITCH_MAX,
     AudioClip,
     _to_int16,
     beat_frames,
@@ -39,9 +40,10 @@ HARMONICS = 4
 
 
 def check_base_freq(base_freq: float, sample_rate: int) -> None:
-    """Raise ConfigError unless 0 < base_freq < rate / (2 * HARMONICS), so
-    the top harmonic stays below Nyquist (NaN and infinity fail too)."""
-    top = sample_rate / (2 * HARMONICS)
+    """Raise ConfigError unless base * 2^(PITCH_MAX/12) * HARMONICS <
+    rate / 2, so the top harmonic stays below Nyquist at the highest
+    pitch the metre can ask for (NaN and infinity fail too)."""
+    top = sample_rate / (2 * HARMONICS * 2.0 ** (PITCH_MAX / 12))
     if not 0 < base_freq < top:
         raise ConfigError(f"base frequency must lie in (0, {top:g}), got {base_freq}")
 

@@ -4,6 +4,12 @@ All audio is mono 16-bit PCM held as int16 numpy arrays.  Pitch
 shifting preserves duration exactly: the clip is resampled by the
 semitone ratio and then phase-vocoder stretched back to its original
 frame count.  Time stretching preserves pitch.
+
+The phase vocoder keeps each bin's phase as a unit phasor, X / |X|,
+never as an angle.  An output frame's phasor is the previous one times
+the bin's phase step between the two input frames it reads, and one
+running product over time yields every frame at once, so stretching
+needs no trigonometry, no phase unwrapping and no loop over frames.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadWav, SampleRateMismatch
 
@@ -137,28 +144,37 @@ def _periodic_hann(n: int) -> np.ndarray:
 
 
 def _stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    xp = np.pad(x, n_fft // 2)
-    n_frames = 1 + (len(xp) - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.fft.rfft(xp[idx] * window, axis=1).T  # [bins, frames]
+    frames = sliding_window_view(np.pad(x, n_fft // 2), n_fft)[::hop]
+    return np.fft.rfft(frames * window, axis=1)  # [frames, bins]
 
 
 def _istft(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    n_frames = spec.shape[1]
-    out_len = (n_frames - 1) * hop + n_fft
-    y = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
-    wsq = window * window
-    for t in range(n_frames):
-        y[t * hop : t * hop + n_fft] += frames[t]
-        wsum[t * hop : t * hop + n_fft] += wsq
-    y /= np.maximum(wsum, 1e-8)
-    return y[n_fft // 2 :]  # undo the center padding
+    """Overlap-add the inverse frames of ``spec`` [frames, bins]: with
+    hop = n_fft / 4, four block adds, one per frame quarter, cover every
+    frame.  Quarters go in last-first, as a loop over frames adds them."""
+    n_frames = spec.shape[0]
+    quarters = n_fft // hop
+    frames = np.fft.irfft(spec, n=n_fft, axis=1)
+    frames *= window
+    frames = frames.reshape(n_frames, quarters, hop)
+    wsq = (window * window).reshape(quarters, hop)
+    y = np.zeros((n_frames - 1 + quarters, hop))
+    wsum = np.zeros_like(y)
+    for q in reversed(range(quarters)):
+        y[q : q + n_frames] += frames[:, q]
+        wsum[q : q + n_frames] += wsq[q]
+    y /= np.maximum(wsum, 1e-8, out=wsum)
+    return y.reshape(-1)[n_fft // 2 :]  # undo the center padding
 
 
 def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
-    """Stretch float signal x to exactly n_out samples, keeping pitch."""
+    """Stretch float signal x to exactly n_out samples, keeping pitch.
+
+    Output frame t reads input position steps[t] = i + frac.  Its
+    magnitude is interpolated between input frames i and i + 1.  Its
+    phasor is output frame t - 1's times the phase step between the two
+    input frames that frame t - 1 read; frame 0 takes input frame 0's.
+    """
     n_in = len(x)
     if n_out == n_in:
         return x.copy()
@@ -174,27 +190,31 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     hop = n_fft // 4
     window = _periodic_hann(n_fft)
     spec = _stft(x, n_fft, hop, window)
-    n_bins, t_in = spec.shape
+    t_in = spec.shape[0]
 
     t_out = max(2, int(round(n_out / hop)) + 1)
     steps = np.linspace(0.0, t_in - 1.0, t_out)
+    i = steps.astype(np.intp)
+    frac = (steps - i)[:, None]
+    # only the last step reaches the last frame, and with frac 0
+    i_next = np.minimum(i + 1, t_in - 1)
 
-    # append a copy of the last frame so step + 1 always has a column
-    spec = np.concatenate([spec, spec[:, -1:]], axis=1)
     mags = np.abs(spec)
-    phases = np.angle(spec)
-    phi_advance = 2.0 * np.pi * hop * np.arange(n_bins) / n_fft
+    silent = mags == 0
+    phasors = np.divide(spec, mags, out=spec, where=~silent)
+    phasors[silent] = 1  # phase 0, as np.angle(0) gives
+    step = phasors[:-1].conj()
+    step *= phasors[1:]  # step[i]: phase step from input frame i to i + 1
 
-    out = np.empty((n_bins, t_out), dtype=complex)
-    phase_acc = phases[:, 0].copy()
-    for t, step in enumerate(steps):
-        i = int(step)
-        frac = step - i
-        mag = (1.0 - frac) * mags[:, i] + frac * mags[:, i + 1]
-        out[:, t] = mag * np.exp(1j * phase_acc)
-        dphi = phases[:, i + 1] - phases[:, i] - phi_advance
-        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-        phase_acc += phi_advance + dphi
+    out = np.empty((t_out, spec.shape[1]), dtype=complex)
+    out[0] = phasors[0]
+    # mode="clip" lets take write straight into out (i stays in range)
+    np.take(step, i[:-1], axis=0, out=out[1:], mode="clip")
+    np.multiply.accumulate(out, axis=0, out=out)
+    mag = mags[i]
+    mag *= 1.0 - frac
+    mag += frac * mags[i_next]
+    out *= mag
 
     y = _istft(out, n_fft, hop, window)
     if len(y) < n_out:
@@ -210,15 +230,6 @@ def stretch_to_length(clip: AudioClip, n_frames: int) -> AudioClip:
         return clip
     y = _stretch_signal(_to_float(clip.samples), n_frames)
     return AudioClip(_to_int16(y), clip.sample_rate)
-
-
-def time_stretch(clip: AudioClip, factor: float) -> AudioClip:
-    """Stretch duration by ``factor`` (0.5..4) without changing pitch."""
-    if not 0.5 <= factor <= 4.0:
-        raise ValueError(f"stretch factor {factor} outside 0.5..4")
-    if factor == 1.0:
-        return clip
-    return stretch_to_length(clip, int(round(clip.n_frames * factor)))
 
 
 def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:

@@ -9,7 +9,9 @@ where a following conjunct can lengthen it).  Weights are 0 for light
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -211,22 +213,33 @@ def _build_record(block: dict[str, str]) -> MetreRecord:
     return MetreRecord(name, syllables, pattern, caesura, pitch_q13, pitch_q24)
 
 
-def load_metre_db(path: str | Path | None = None) -> list[MetreRecord]:
-    """Load a metre database file, or the bundled one when path is None."""
+def load_metre_db(path: str | Path | None = None) -> tuple[MetreRecord, ...]:
+    """Load a metre database file, or the bundled one when path is None.
+
+    The bundled database is parsed once per process; a file given by
+    path is read on every call, so edits to it show at once.
+    """
     if path is None:
-        text = (
-            resources.files("versechant").joinpath("data/metres.txt").read_text("utf-8")
-        )
-    else:
-        text = Path(path).read_text("utf-8")
-    records = parse_metre_db(text)
+        return _bundled_metre_db()
+    return _records(Path(path).read_text("utf-8"))
+
+
+@cache
+def _bundled_metre_db() -> tuple[MetreRecord, ...]:
+    return _records(
+        resources.files("versechant").joinpath("data/metres.txt").read_text("utf-8")
+    )
+
+
+def _records(text: str) -> tuple[MetreRecord, ...]:
+    records = tuple(parse_metre_db(text))
     if not records:
         raise MetreDbError("metre database holds no records")
     return records
 
 
 def classify_metre(
-    patterns: list[str], db: list[MetreRecord]
+    patterns: list[str], db: Sequence[MetreRecord]
 ) -> MetreRecord:
     """Find the first metre the observed quarters fit.
 
@@ -300,7 +313,7 @@ def _cuts(weighted, quarter_units, db, promote):
 
 def analyze_quarters(
     quarter_units: list[list[Unit]],
-    db: list[MetreRecord],
+    db: Sequence[MetreRecord],
     promote_light_clusters: bool = False,
     require_metre: bool = True,
 ) -> VerseAnalysis:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from versechant.audio_store import (
+    HARMONICS,
     ClipDirectory,
     ClipRequest,
     SyntheticVoice,
     synth_clip,
 )
-from versechant.dsp import write_wav
+from versechant.dsp import PITCH_MAX, pitch_shift, write_wav
 from versechant.errors import BadWav, ClipUnavailable, ConfigError
 from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
@@ -25,6 +26,27 @@ def test_synth_clip_rejects_aliasing_base_freq():
     # the bound holds for direct calls too, not only through Config
     with pytest.raises(ConfigError, match="base frequency"):
         synth_clip(ClipRequest("ā", Weight.GURU, 0.5), 1500.0, 8000)
+    # under rate/8, but a +4 shift would lift the 4th harmonic to 4989 Hz
+    with pytest.raises(ConfigError, match="base frequency"):
+        synth_clip(ClipRequest("ā", Weight.GURU, 0.5), 990.0, 8000)
+
+
+def test_top_harmonic_at_top_pitch_stays_below_nyquist():
+    # top = the largest base whose 4th harmonic, shifted up PITCH_MAX
+    # semitones, stays below rate/2
+    rate = 8000
+    top = rate / 2 / (HARMONICS * 2.0 ** (PITCH_MAX / 12))
+    with pytest.raises(ConfigError, match="base frequency"):
+        synth_clip(ClipRequest("a", Weight.GURU, 0.5), top * 1.001, rate)
+    base = 790.0
+    shifted = pitch_shift(synth_clip(ClipRequest("a", Weight.GURU, 0.5), base, rate), PITCH_MAX)
+    f0 = base * 2.0 ** (PITCH_MAX / 12)
+    mag = np.abs(np.fft.rfft(shifted.samples * np.hanning(shifted.n_frames)))
+    freqs = np.fft.rfftfreq(shifted.n_frames, 1.0 / rate)
+    # the strongest peak above the 3rd harmonic is the 4th, not a fold
+    above = freqs > 3.5 * f0
+    got = freqs[above][np.argmax(mag[above])]
+    assert abs(got - HARMONICS * f0) / (HARMONICS * f0) < 0.01
 
 
 def test_synth_clip_duration_exact():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from versechant.dsp import (
+    PITCH_MAX,
+    PITCH_MIN,
     AudioClip,
     concat,
     crossfade_frames,
@@ -17,10 +19,11 @@ from versechant.dsp import (
     resample,
     silence,
     stretch_to_length,
-    time_stretch,
     write_wav,
 )
+from versechant.audio_store import ClipRequest, synth_clip
 from versechant.errors import BadWav, SampleRateMismatch
+from versechant.prosody import Weight
 
 from conftest import fft_peak_hz, sine_clip
 
@@ -39,6 +42,73 @@ def reference_concat(clips: list[AudioClip], crossfade: int) -> np.ndarray:
         overlap = merged[-xf:] * np.cos(t * np.pi / 2) + nxt[:xf] * np.sin(t * np.pi / 2)
         merged = np.concatenate([merged[:-xf], overlap, nxt[xf:]])
     return np.clip(np.rint(merged * 32768.0), -32768, 32767).astype(np.int16)
+
+
+def reference_stretch(x: np.ndarray, n_out: int) -> np.ndarray:
+    """The loop-based phase vocoder stretch_to_length once ran: phases as
+    angles, advanced and 2-pi wrapped frame by frame, then overlap-added
+    frame by frame.  Kept as the oracle; takes and returns floats."""
+    n_in = len(x)
+    if n_out == n_in:
+        return x.copy()
+    if n_out == 0:
+        return np.zeros(0)
+    if n_in == 0:
+        return np.zeros(n_out)
+    if n_in < 64:
+        return np.interp(np.linspace(0.0, n_in - 1.0, n_out), np.arange(n_in), x)
+
+    n_fft = min(2048, 1 << (n_in.bit_length() - 1))
+    hop = n_fft // 4
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    xp = np.pad(x, n_fft // 2)
+    t_in = 1 + (len(xp) - n_fft) // hop
+    idx = np.arange(n_fft)[None, :] + hop * np.arange(t_in)[:, None]
+    spec = np.fft.rfft(xp[idx] * window, axis=1).T  # [bins, frames]
+    n_bins = spec.shape[0]
+
+    t_out = max(2, int(round(n_out / hop)) + 1)
+    steps = np.linspace(0.0, t_in - 1.0, t_out)
+    spec = np.concatenate([spec, spec[:, -1:]], axis=1)
+    mags = np.abs(spec)
+    phases = np.angle(spec)
+    phi_advance = 2.0 * np.pi * hop * np.arange(n_bins) / n_fft
+    out = np.empty((n_bins, t_out), dtype=complex)
+    phase_acc = phases[:, 0].copy()
+    for t, step in enumerate(steps):
+        i = int(step)
+        frac = step - i
+        mag = (1.0 - frac) * mags[:, i] + frac * mags[:, i + 1]
+        out[:, t] = mag * np.exp(1j * phase_acc)
+        dphi = phases[:, i + 1] - phases[:, i] - phi_advance
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        phase_acc += phi_advance + dphi
+
+    y = np.zeros((t_out - 1) * hop + n_fft)
+    wsum = np.zeros_like(y)
+    frames = np.fft.irfft(out.T, n=n_fft, axis=1) * window
+    for t in range(t_out):
+        y[t * hop : t * hop + n_fft] += frames[t]
+        wsum[t * hop : t * hop + n_fft] += window * window
+    y = (y / np.maximum(wsum, 1e-8))[n_fft // 2 :]
+    if len(y) < n_out:
+        y = np.pad(y, (0, n_out - len(y)))
+    return y[:n_out]
+
+
+def reference_pitch_shift(samples: np.ndarray, semitones: int) -> np.ndarray:
+    """pitch_shift's resampling step in front of reference_stretch."""
+    if not len(samples):
+        return np.zeros(0)
+    ratio = 2.0 ** (semitones / 12.0)
+    x = samples / 32768.0
+    n = len(x)
+    pos = np.minimum(np.arange(max(1, round(n / ratio))) * ratio, n - 1)
+    return reference_stretch(np.interp(pos, np.arange(n), x), n)
+
+
+def quantize(y: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(y * 32768.0), -32768, 32767).astype(np.int16)
 
 
 def joined_length(lengths: list[int], crossfade: int) -> int:
@@ -189,20 +259,12 @@ def test_pitch_shift_round_trip_duration():
         assert abs(got - 440.0) / 440.0 < 0.02
 
 
-def test_time_stretch_bounds():
-    clip = sine_clip(440, 0.2)
-    for bad in (0.4, 4.5, 0.0, -1.0):
-        with pytest.raises(ValueError):
-            time_stretch(clip, bad)
-    assert time_stretch(clip, 1.0) is clip
-
-
 def test_time_stretch_doubles_and_halves():
     clip = sine_clip(440, 1.0)
-    double = time_stretch(clip, 2.0)
+    double = stretch_to_length(clip, round(clip.n_frames * 2.0))
     assert abs(double.n_frames - 2 * clip.n_frames) <= 1
     assert abs(fft_peak_hz(double.samples, 44100) - 440) / 440 < 0.01
-    half = time_stretch(clip, 0.5)
+    half = stretch_to_length(clip, round(clip.n_frames * 0.5))
     assert abs(half.n_frames - clip.n_frames // 2) <= 1
     assert abs(fft_peak_hz(half.samples, 44100) - 440) / 440 < 0.01
 
@@ -220,6 +282,64 @@ def test_stretch_tiny_input():
     assert stretch_to_length(tiny, 25).n_frames == 25
     empty = AudioClip(np.zeros(0, dtype=np.int16), 44100)
     assert stretch_to_length(empty, 100).n_frames == 100
+
+
+def _signal(n: int, kind: str, seed: int) -> AudioClip:
+    """n frames of noise or a tone mix; "lead-in" starts with silence, so
+    its first frames hold zero-magnitude bins."""
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return AudioClip(np.zeros(n, dtype=np.int16), 44100)
+    t = np.arange(n)
+    x = sum(rng.uniform(0.1, 0.3) * np.sin(rng.uniform(0.001, 3.0) * t) for _ in range(3))
+    x += rng.uniform(0.0, 0.2) * rng.standard_normal(n)
+    if kind == "lead-in":
+        x[: int(n * rng.uniform(0.1, 0.9))] = 0.0
+    return AudioClip(quantize(x), 44100)
+
+
+# n_fft is the largest power of two up to n (at most 2048), so the first
+# range covers the smaller FFT sizes and the plain resample under 64
+_signals = st.builds(
+    _signal,
+    n=st.one_of(st.integers(0, 4095), st.integers(4096, 50_000)),
+    kind=st.sampled_from(["mix", "lead-in", "zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    clip=_signals,
+    factor=st.floats(0.0, 2.5),
+    semitones=st.sampled_from([s for s in range(PITCH_MIN, PITCH_MAX + 1) if s]),
+)
+def test_stretch_and_pitch_match_reference(clip, factor, semitones):
+    # the vocoder now carries phase as unit phasors; rounding may move a
+    # sample by one step of int16 at most
+    n_out = round(clip.n_frames * factor)
+    got = stretch_to_length(clip, n_out).samples
+    want = quantize(reference_stretch(clip.samples / 32768.0, n_out))
+    assert len(got) == n_out
+    assert np.max(np.abs(got.astype(int) - want), initial=0) <= 1
+    got = pitch_shift(clip, semitones).samples
+    want = quantize(reference_pitch_shift(clip.samples, semitones))
+    assert len(got) == clip.n_frames
+    assert np.max(np.abs(got.astype(int) - want), initial=0) <= 1
+
+
+def test_stretch_and_pitch_equal_reference_at_verse_scale():
+    # one- and two-beat synthetic clips at 44.1 kHz, and a 10% long take
+    # stretched back to its beat span, as verse and recorded renders do
+    for request in (ClipRequest("van", Weight.GURU, 0.5), ClipRequest("de", Weight.LAGHU, 0.5)):
+        clip = synth_clip(request)
+        for s in range(PITCH_MIN, PITCH_MAX + 1):
+            if s:
+                want = quantize(reference_pitch_shift(clip.samples, s))
+                assert np.array_equal(pitch_shift(clip, s).samples, want)
+        n_out = round(clip.n_frames / 1.1)
+        want = quantize(reference_stretch(clip.samples / 32768.0, n_out))
+        assert np.array_equal(stretch_to_length(clip, n_out).samples, want)
 
 
 def test_wav_round_trip_bit_exact(tmp_path):

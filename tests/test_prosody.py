@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from versechant.errors import MetreDbError, NoMatchingMetre, PitchArrayOverrun
@@ -108,6 +110,19 @@ def test_bundled_db_pitch_tables():
     for record in db:
         for row in (record.pitch_q13, record.pitch_q24):
             assert all(-7 <= p <= 4 for p in row)
+
+
+def test_bundled_db_parsed_once_custom_db_read_each_call(tmp_path):
+    db = load_metre_db()
+    assert isinstance(db, tuple) and load_metre_db() is db
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db[0].name = "changed"
+    path = tmp_path / "metres.txt"
+    text = "name: Four\nsyllables: 1 1 1 1\npitch_q13: 0\npitch_q24: 0\n"
+    path.write_text(text, "utf-8")
+    assert [r.name for r in load_metre_db(path)] == ["Four"]
+    path.write_text(text.replace("Four", "Edited"), "utf-8")
+    assert [r.name for r in load_metre_db(path)] == ["Edited"]
 
 
 def test_pitch_rows_map_to_quarters():

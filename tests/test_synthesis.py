@@ -227,7 +227,11 @@ def test_config_rejects_aliasing_base_freq():
         Config(sample_rate=8000, base_freq=1500)
     with pytest.raises(ConfigError, match="base frequency"):
         Config(sample_rate=8000, base_freq=8000 / (2 * HARMONICS))
-    assert Config(sample_rate=8000, base_freq=999).base_freq == 999
+    # nor may a shift up to PITCH_MAX lift it there: 990 Hz < 8000/8 still
+    # aliases at +4, and the bound is about 793.7 Hz at 8 kHz
+    with pytest.raises(ConfigError, match="base frequency"):
+        Config(sample_rate=8000, base_freq=990)
+    assert Config(sample_rate=8000, base_freq=790).base_freq == 790
 
 
 @settings(max_examples=40, deadline=None)
