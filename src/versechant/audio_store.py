@@ -7,6 +7,12 @@ engine sample rate, so the renderer can do beat arithmetic in frames.
 Recorded clips are files named ``<unit_text>_<l|g>.wav``.  Providers
 keep no clips: the renderer memoizes them, one fetch per distinct
 request in a render.
+
+The synthetic voice runs no trigonometry per frame.  Its sines come
+from a phasor table built by angle addition: one block of in-block
+phasors times one phasor per block start.  A vowel's harmonics are
+summed from the fundamental's cosine and sine by a Chebyshev (Clenshaw)
+recurrence, not from one sine per harmonic.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ _NASALS = ("ṅ", "ñ", "ṇ", "n", "m")
 
 # the synthetic vowel sums this many harmonics of the base frequency
 HARMONICS = 4
+
+# frames per block of the angle-addition phasor table
+_BLOCK = 256
 
 
 def check_base_freq(base_freq: float, sample_rate: int) -> None:
@@ -78,28 +87,49 @@ def _seed(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-def _envelope(n: int, attack: int, release: int) -> np.ndarray:
-    env = np.ones(n)
+def _envelope(x: np.ndarray, attack: int, release: int) -> np.ndarray:
+    """Fade x in over ``attack`` frames and out over ``release`` frames,
+    in place; the frames between the ramps keep their values."""
+    n = len(x)
     attack = min(attack, n // 2)
     release = min(release, n - attack)
     if attack:
-        env[:attack] = np.linspace(0.0, 1.0, attack, endpoint=False)
+        x[:attack] *= np.linspace(0.0, 1.0, attack, endpoint=False)
     if release:
-        env[n - release :] = np.linspace(1.0, 0.0, release)
-    return env
+        x[n - release :] *= np.linspace(1.0, 0.0, release)
+    return x
+
+
+def _phasor(freq: float, n: int, rate: int) -> np.ndarray:
+    """exp(2πi · freq · k / rate) for k < n, by angle addition: one block
+    of in-block phasors times one phasor per block start, so no
+    trigonometry runs per frame."""
+    step = 2j * np.pi * freq / rate
+    inner = np.exp(step * np.arange(min(n, _BLOCK)))
+    starts = np.exp(step * _BLOCK * np.arange(-(-n // _BLOCK)))
+    return np.outer(starts, inner).ravel()[:n]
 
 
 def _vowel_tone(nucleus: Letter, n: int, rate: int, base_freq: float) -> np.ndarray:
+    """HARMONICS harmonics of base_freq, enveloped.
+
+    With θ the fundamental's phase, sin kθ = sin θ · U_{k-1}(cos θ), so
+    the sum of a_k sin kθ is sin θ times a Chebyshev series in cos θ,
+    evaluated by Clenshaw's recurrence over the amplitudes.  cos θ and
+    sin θ come from one phasor table, so no harmonic needs its own sine.
+    """
     if n <= 0:
         return np.zeros(0)
     rng = np.random.default_rng(_seed(nucleus.text))
     # fundamental dominates so the spectral peak sits at base_freq
     amps = np.concatenate([[1.0], rng.uniform(0.08, 0.3, HARMONICS - 1)])
-    t = np.arange(n) / rate
-    x = np.zeros(n)
-    for k, amp in enumerate(amps, start=1):
-        x += amp * np.sin(2.0 * np.pi * k * base_freq * t)
-    return x * _envelope(n, int(0.015 * rate), int(0.030 * rate))
+    z = _phasor(base_freq, n, rate)
+    two_cos = 2.0 * z.real
+    b, b_next = amps[-1], 0.0
+    for amp in amps[-2::-1]:  # b_j = a_{j+1} + 2cos θ · b_{j+1} - b_{j+2}
+        b, b_next = two_cos * b - b_next + amp, b
+    x = b * z.imag
+    return _envelope(x, int(0.015 * rate), int(0.030 * rate))
 
 
 def _consonant_burst(letter: Letter, n: int, rate: int, base_freq: float) -> np.ndarray:
@@ -116,9 +146,9 @@ def _consonant_burst(letter: Letter, n: int, rate: int, base_freq: float) -> np.
         x /= peak
     voiced = letter.category is Category.SEMIVOWEL or letter.text in _NASALS
     if voiced:
-        t = np.arange(n) / rate
-        x = 0.5 * x + 0.5 * np.sin(2.0 * np.pi * base_freq * t)
-    return 0.45 * x * _envelope(n, int(0.003 * rate), int(0.003 * rate))
+        x = 0.5 * x + 0.5 * _phasor(base_freq, n, rate).imag
+    x *= 0.45
+    return _envelope(x, int(0.003 * rate), int(0.003 * rate))
 
 
 def _consonant_run(letters, n: int, rate: int, base_freq: float) -> np.ndarray:

@@ -57,7 +57,11 @@ def _to_float(samples: np.ndarray) -> np.ndarray:
     return samples.astype(np.float64) / 32768.0
 
 def _to_int16(x: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+    # one scratch buffer, quantized in place; x itself is never written
+    y = np.multiply(x, 32768.0)
+    np.rint(y, out=y)
+    np.clip(y, -32768, 32767, out=y)
+    return y.astype(np.int16)
 
 
 def crossfade_frames(sample_rate: int) -> int:
@@ -262,7 +266,7 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(clip.sample_rate)
-        w.writeframes(clip.samples.astype("<i2").tobytes())
+        w.writeframes(np.ascontiguousarray(clip.samples, dtype="<i2"))
 
 
 def read_wav(path: str | Path) -> AudioClip:

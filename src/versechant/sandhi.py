@@ -52,7 +52,9 @@ def correct_anusvara(stream: LetterStream) -> LetterStream:
     anusvara stays (saṃsāra keeps its ṃ, saṃgīta becomes saṅgīta).
     """
     letters = list(stream.letters)
-    for i in range(len(letters) - 1):
+    # right to left, so a run of nasals takes the nasal of the stop it
+    # ends in and a second pass finds nothing left to change
+    for i in reversed(range(len(letters) - 1)):
         cur = letters[i]
         if cur.category is not Category.ANUSVARA and cur.text != "m":
             continue
@@ -71,7 +73,8 @@ def correct_visarga_sibilant(stream: LetterStream) -> LetterStream:
     """
     letters = list(stream.letters)
     breaks = set(stream.word_breaks)
-    for i in range(len(letters) - 1):
+    # right to left, so a chain of one-letter ḥ words assimilates in one pass
+    for i in reversed(range(len(letters) - 1)):
         nxt = letters[i + 1]
         if (
             letters[i].category is Category.VISARGA

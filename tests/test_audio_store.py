@@ -2,24 +2,88 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from versechant import audio_store
+from versechant.alphabet import Category
 from versechant.audio_store import (
+    _NASALS,
     HARMONICS,
     ClipDirectory,
     ClipRequest,
     SyntheticVoice,
+    check_base_freq,
     synth_clip,
 )
 from versechant.dsp import PITCH_MAX, pitch_shift, write_wav
 from versechant.errors import BadWav, ClipUnavailable, ConfigError
 from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
+from versechant.transliteration import tokenize
 
 from conftest import fft_peak_hz, sine_clip
 
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
     return int(round((int(weight) + 1) * beat * rate))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the voice as one np.sin pass per harmonic, with a full-length
+# envelope multiplied into every frame.
+
+def reference_envelope(n: int, attack: int, release: int) -> np.ndarray:
+    env = np.ones(n)
+    attack = min(attack, n // 2)
+    release = min(release, n - attack)
+    if attack:
+        env[:attack] = np.linspace(0.0, 1.0, attack, endpoint=False)
+    if release:
+        env[n - release :] = np.linspace(1.0, 0.0, release)
+    return env
+
+
+def reference_vowel_tone(nucleus, n: int, rate: int, base_freq: float) -> np.ndarray:
+    if n <= 0:
+        return np.zeros(0)
+    rng = np.random.default_rng(audio_store._seed(nucleus.text))
+    amps = np.concatenate([[1.0], rng.uniform(0.08, 0.3, HARMONICS - 1)])
+    t = np.arange(n) / rate
+    x = np.zeros(n)
+    for k, amp in enumerate(amps, start=1):
+        x += amp * np.sin(2.0 * np.pi * k * base_freq * t)
+    return x * reference_envelope(n, int(0.015 * rate), int(0.030 * rate))
+
+
+def reference_consonant_burst(letter, n: int, rate: int, base_freq: float) -> np.ndarray:
+    if n <= 0:
+        return np.zeros(0)
+    seed = audio_store._seed(letter.text)
+    noise = np.random.default_rng(seed).standard_normal(n)
+    center = 500.0 + (seed % 3000)
+    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    spec = np.fft.rfft(noise) * np.exp(-(((freqs - center) / 900.0) ** 2))
+    x = np.fft.irfft(spec, n)
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x /= peak
+    if letter.category is Category.SEMIVOWEL or letter.text in _NASALS:
+        t = np.arange(n) / rate
+        x = 0.5 * x + 0.5 * np.sin(2.0 * np.pi * base_freq * t)
+    return 0.45 * x * reference_envelope(n, int(0.003 * rate), int(0.003 * rate))
+
+
+def reference_synth_clip(request: ClipRequest, base_freq: float, rate: int):
+    """synth_clip with the oracle's tone and burst in place of the kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio_store, "_vowel_tone", reference_vowel_tone)
+        mp.setattr(audio_store, "_consonant_burst", reference_consonant_burst)
+        return synth_clip(request, base_freq, rate)
+
+
+def top_base_freq(rate: int) -> float:
+    return rate / (2 * HARMONICS * 2.0 ** (PITCH_MAX / 12))
 
 
 def test_synth_clip_rejects_aliasing_base_freq():
@@ -95,6 +159,73 @@ def test_synth_clip_needs_vowel():
 def test_request_validation():
     with pytest.raises(ValueError):
         ClipRequest("van", Weight.LAGHU, 0.0)
+
+
+VOWELS = ["a", "ā", "i", "ī", "u", "ū", "ṛ", "e", "ai", "o", "au"]
+CONSONANTS = ["k", "kh", "g", "ṅ", "c", "j", "ñ", "ṭ", "ṇ", "t", "d", "n",
+              "p", "bh", "m", "y", "r", "l", "v", "ś", "ṣ", "s", "h", "ṃ", "ḥ"]
+BLOCK = audio_store._BLOCK
+
+# lengths below, at and just off multiples of the phasor block, and any
+# length up to about two seconds at 44.1 kHz
+frame_counts = st.one_of(
+    st.integers(0, 90_000),
+    st.builds(lambda k, d: max(0, k * BLOCK + d), st.integers(0, 351), st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pre=st.lists(st.sampled_from(CONSONANTS), max_size=3),
+    nucleus=st.sampled_from(VOWELS),
+    post=st.lists(st.sampled_from(CONSONANTS), max_size=2),
+    weight=st.sampled_from([Weight.LAGHU, Weight.GURU]),
+    n=frame_counts,
+    rate=st.integers(8_000, 48_000),
+    base_share=st.floats(0.001, 0.999999),
+)
+def test_voice_matches_reference(pre, nucleus, post, weight, n, rate, base_share):
+    base = base_share * top_base_freq(rate)
+    check_base_freq(base, rate)
+    # each kernel alone, at exactly n frames
+    vowel = tokenize(nucleus).letters[0]
+    got = audio_store._vowel_tone(vowel, n, rate, base)
+    assert len(got) == n
+    np.testing.assert_allclose(got, reference_vowel_tone(vowel, n, rate, base), rtol=0, atol=1e-9)
+    for letter in tokenize("".join(pre + post) or "y").letters:
+        got = audio_store._consonant_burst(letter, n, rate, base)
+        want = reference_consonant_burst(letter, n, rate, base)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    # the whole clip, at about n frames
+    if n == 0:
+        return
+    request = ClipRequest("".join(pre) + nucleus + "".join(post), weight, n / ((int(weight) + 1) * rate))
+    got = synth_clip(request, base, rate).samples
+    want = reference_synth_clip(request, base, rate).samples
+    assert len(got) == len(want)
+    assert np.max(np.abs(got.astype(np.int32) - want), initial=0) <= 1
+
+
+def test_voice_equals_reference_at_bench_scale():
+    for text in ("van", "ṇāṃ", "snyam"):
+        for weight in (Weight.LAGHU, Weight.GURU):
+            request = ClipRequest(text, weight, 0.5)
+            got = synth_clip(request, 220.0, 44100)
+            want = reference_synth_clip(request, 220.0, 44100)
+            assert np.array_equal(got.samples, want.samples)
+
+
+def test_envelope_leaves_the_middle_untouched():
+    rate, n = 44100, 30_000
+    attack, release = int(0.015 * rate), int(0.030 * rate)
+    vowel = tokenize("ā").letters[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio_store, "_envelope", lambda x, attack, release: x)
+        raw = audio_store._vowel_tone(vowel, n, rate, 220.0)
+    tone = audio_store._vowel_tone(vowel, n, rate, 220.0)
+    assert np.array_equal(tone[attack : n - release], raw[attack : n - release])
+    assert tone[0] == 0.0 and tone[-1] == 0.0
+    assert np.all(np.abs(tone) <= np.abs(raw))
 
 
 class CountingVoice(SyntheticVoice):

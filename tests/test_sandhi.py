@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from versechant.sandhi import (
     apply_all,
     correct_anusvara,
@@ -102,3 +106,36 @@ def test_each_pass_idempotent_on_goldens():
     ]:
         once = fn(tokenize(text))
         assert fn(once).text() == once.text()
+
+
+# Texts aimed at each rule's trigger: fragments around h + n, ṃ/m + a
+# stop, ḥ + a sibilant across a break, and ḥ + k/kh/p/ph.  Spaces make
+# one-letter words, so a trigger can also straddle or chain over breaks.
+TRIGGER_FRAGMENTS = {
+    "hn": ["a", "i", "h", "n", "hn", "hhn", "hnn", " "],
+    "anusvara": ["a", "ā", "ṃ", "m", "k", "g", "ṅ", "c", "ñ", "ṭ", "ṇ", "t", "d", "n", "p", "b", "s", "y", " "],
+    "sibilant": ["a", "ḥ", "ś", "ṣ", "s", "ḥ ", " ś", " ", "aḥ"],
+    "aspirate": ["a", "u", "ḥ", "k", "kh", "p", "ph", " ", "aḥ "],
+}
+texts = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_text(random.Random(seed))),
+    *(
+        st.lists(st.sampled_from(frags), max_size=14).map("".join)
+        for frags in TRIGGER_FRAGMENTS.values()
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "correct",
+    [correct_hn, correct_anusvara, correct_visarga_sibilant, correct_visarga_aspirate, apply_all],
+)
+@settings(max_examples=300, deadline=None)
+@given(text=texts)
+@example(text="saṃṃkha")  # a run of nasals before a stop
+@example(text="aḥ ḥ śa")  # a chain of ḥ words before a sibilant
+def test_pass_applied_twice_equals_once(correct, text):
+    once = correct(tokenize(text))
+    twice = correct(once)
+    assert twice.letters == once.letters
+    assert twice.word_breaks == once.word_breaks
