@@ -13,6 +13,16 @@ from a phasor table built by angle addition: one block of in-block
 phasors times one phasor per block start.  A vowel's harmonics are
 summed from the fundamental's cosine and sine by a Chebyshev (Clenshaw)
 recurrence, not from one sine per harmonic.
+
+A voice renders each of its pure parts once per instance, and the
+renderer builds one voice per render.  The voice keeps one phasor table
+at its base frequency, grown to the longest vowel asked for so far (16
+bytes a frame: 0.7 MB for a two-beat vowel at 0.5 s and 44.1 kHz), and
+one consonant burst per distinct (letter, length).  A burst lasts at
+most one 60 ms segment plus a frame per consonant of its cluster (about
+21 KB at 44.1 kHz), and a render asks for few lengths per letter: a
+16-line text keeps about 32 bursts, 0.7 MB.  Both are read-only, and
+every clip of the voice shares them.
 """
 
 from __future__ import annotations
@@ -74,7 +84,9 @@ class ClipRequest:
 
 class ClipProvider(ABC):
     """Source of unit clips.  Each call builds or loads the clip anew;
-    the renderer memoizes clips, so providers need no cache."""
+    the renderer memoizes whole clips, so providers keep no clips.  A
+    synthetic voice does keep the parts its clips share (its bursts and
+    its phasor table), bounded as the module docstring says."""
 
     @abstractmethod
     def get_clip(self, request: ClipRequest) -> AudioClip: ...
@@ -103,27 +115,29 @@ def _envelope(x: np.ndarray, attack: int, release: int) -> np.ndarray:
 def _phasor(freq: float, n: int, rate: int) -> np.ndarray:
     """exp(2πi · freq · k / rate) for k < n, by angle addition: one block
     of in-block phasors times one phasor per block start, so no
-    trigonometry runs per frame."""
+    trigonometry runs per frame.  Neither factor depends on n and the
+    first block start is exactly 1, so the first m entries of a table
+    equal the table built for m."""
     step = 2j * np.pi * freq / rate
     inner = np.exp(step * np.arange(min(n, _BLOCK)))
     starts = np.exp(step * _BLOCK * np.arange(-(-n // _BLOCK)))
     return np.outer(starts, inner).ravel()[:n]
 
 
-def _vowel_tone(nucleus: Letter, n: int, rate: int, base_freq: float) -> np.ndarray:
-    """HARMONICS harmonics of base_freq, enveloped.
+def _vowel_tone(nucleus: Letter, z: np.ndarray, rate: int) -> np.ndarray:
+    """HARMONICS harmonics of the fundamental whose phasor table is z
+    (one entry per frame), enveloped.
 
     With θ the fundamental's phase, sin kθ = sin θ · U_{k-1}(cos θ), so
     the sum of a_k sin kθ is sin θ times a Chebyshev series in cos θ,
     evaluated by Clenshaw's recurrence over the amplitudes.  cos θ and
     sin θ come from one phasor table, so no harmonic needs its own sine.
     """
-    if n <= 0:
+    if len(z) == 0:
         return np.zeros(0)
     rng = np.random.default_rng(_seed(nucleus.text))
     # fundamental dominates so the spectral peak sits at base_freq
     amps = np.concatenate([[1.0], rng.uniform(0.08, 0.3, HARMONICS - 1)])
-    z = _phasor(base_freq, n, rate)
     two_cos = 2.0 * z.real
     b, b_next = amps[-1], 0.0
     for amp in amps[-2::-1]:  # b_j = a_{j+1} + 2cos θ · b_{j+1} - b_{j+2}
@@ -132,8 +146,11 @@ def _vowel_tone(nucleus: Letter, n: int, rate: int, base_freq: float) -> np.ndar
     return _envelope(x, int(0.015 * rate), int(0.030 * rate))
 
 
-def _consonant_burst(letter: Letter, n: int, rate: int, base_freq: float) -> np.ndarray:
-    if n <= 0:
+def _consonant_burst(letter: Letter, z: np.ndarray, rate: int) -> np.ndarray:
+    """Band-limited noise for the letter, len(z) frames long; semivowels
+    and nasals mix in the fundamental whose phasor table is z."""
+    n = len(z)
+    if n == 0:
         return np.zeros(0)
     rng = np.random.default_rng(_seed(letter.text))
     noise = rng.standard_normal(n)
@@ -146,64 +163,72 @@ def _consonant_burst(letter: Letter, n: int, rate: int, base_freq: float) -> np.
         x /= peak
     voiced = letter.category is Category.SEMIVOWEL or letter.text in _NASALS
     if voiced:
-        x = 0.5 * x + 0.5 * _phasor(base_freq, n, rate).imag
+        x = 0.5 * x + 0.5 * z.imag
     x *= 0.45
     return _envelope(x, int(0.003 * rate), int(0.003 * rate))
 
 
-def _consonant_run(letters, n: int, rate: int, base_freq: float) -> np.ndarray:
-    each = n // len(letters)
-    parts = []
-    for k, letter in enumerate(letters):
-        m = n - each * (len(letters) - 1) if k == len(letters) - 1 else each
-        parts.append(_consonant_burst(letter, m, rate, base_freq))
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def synth_clip(
-    request: ClipRequest,
-    base_freq: float = 220.0,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-) -> AudioClip:
-    """Render a unit clip from scratch: noise-burst consonants around a
-    harmonic vowel at base_freq.  Deterministic for a given request."""
-    check_base_freq(base_freq, sample_rate)
-    n = request.n_frames(sample_rate)
-    stream = tokenize(request.unit_text)
-    vowel_at = next(
-        (i for i, letter in enumerate(stream.letters) if letter.is_vowel), None
-    )
-    if vowel_at is None:
-        raise ValueError(f"unit text {request.unit_text!r} has no vowel")
-    pre = stream.letters[:vowel_at]
-    nucleus = stream.letters[vowel_at]
-    post = stream.letters[vowel_at + 1 :]
-
-    seg = int(round(0.06 * sample_rate))
-    onset = min(len(pre) * seg, n // 4)
-    coda = min(len(post) * seg, n // 4)
-    parts = []
-    if onset:
-        parts.append(_consonant_run(pre, onset, sample_rate, base_freq))
-    parts.append(_vowel_tone(nucleus, n - onset - coda, sample_rate, base_freq))
-    if coda:
-        parts.append(_consonant_run(post, coda, sample_rate, base_freq))
-    x = np.concatenate(parts)
-    peak = np.max(np.abs(x)) if len(x) else 0.0
-    if peak > 0:
-        x *= 0.75 / peak
-    return AudioClip(_to_int16(x), sample_rate)
-
-
 class SyntheticVoice(ClipProvider):
+    """Noise-burst consonants around a harmonic vowel at base_freq,
+    deterministic for a given request.  Its clips share one phasor
+    table, served by prefix, and one burst per (letter, frames)."""
+
     def __init__(
         self, base_freq: float = 220.0, sample_rate: int = DEFAULT_SAMPLE_RATE
     ):
+        check_base_freq(base_freq, sample_rate)
         self.base_freq = base_freq
         self.sample_rate = sample_rate
+        self._table = np.zeros(0, dtype=complex)
+        self._bursts: dict[tuple[str, int], np.ndarray] = {}
+
+    def _phasors(self, n: int) -> np.ndarray:
+        """The first n entries of the voice's phasor table."""
+        if n > len(self._table):
+            self._table = _phasor(self.base_freq, n, self.sample_rate)
+            self._table.setflags(write=False)
+        return self._table[:n]
+
+    def _consonant_run(self, letters, n: int) -> np.ndarray:
+        each = n // len(letters)
+        parts = []
+        for k, letter in enumerate(letters):
+            m = n - each * (len(letters) - 1) if k == len(letters) - 1 else each
+            burst = self._bursts.get((letter.text, m))
+            if burst is None:
+                burst = _consonant_burst(letter, self._phasors(m), self.sample_rate)
+                burst.setflags(write=False)
+                self._bursts[letter.text, m] = burst
+            parts.append(burst)
+        return np.concatenate(parts) if parts else np.zeros(0)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        return synth_clip(request, self.base_freq, self.sample_rate)
+        rate = self.sample_rate
+        n = request.n_frames(rate)
+        stream = tokenize(request.unit_text)
+        vowel_at = next(
+            (i for i, letter in enumerate(stream.letters) if letter.is_vowel), None
+        )
+        if vowel_at is None:
+            raise ValueError(f"unit text {request.unit_text!r} has no vowel")
+        pre = stream.letters[:vowel_at]
+        nucleus = stream.letters[vowel_at]
+        post = stream.letters[vowel_at + 1 :]
+
+        seg = int(round(0.06 * rate))
+        onset = min(len(pre) * seg, n // 4)
+        coda = min(len(post) * seg, n // 4)
+        parts = []
+        if onset:
+            parts.append(self._consonant_run(pre, onset))
+        parts.append(_vowel_tone(nucleus, self._phasors(n - onset - coda), rate))
+        if coda:
+            parts.append(self._consonant_run(post, coda))
+        x = np.concatenate(parts)
+        peak = np.max(np.abs(x)) if len(x) else 0.0
+        if peak > 0:
+            x *= 0.75 / peak
+        return AudioClip(_to_int16(x), rate)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ WAV file.  All three share one front end, so Devanagari input is
 detected and converted the same way everywhere.  Machine-readable
 output goes to stdout, progress and errors to stderr.  Exit codes:
 0 success, 1 pipeline error, 2 usage error (bad options or empty text).
+A reader that closes stdout early (``| head``) ends the run with exit
+1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -149,15 +152,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.command == "scan":
-            return _cmd_scan(text, config)
-        if args.command == "units":
-            return _cmd_units(text, config)
-        return _cmd_synth(text, config, args.out)
+            code = _cmd_scan(text, config)
+        elif args.command == "units":
+            code = _cmd_units(text, config)
+        else:
+            code = _cmd_synth(text, config, args.out)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except ChantError as exc:
         where = f" [{exc.stage}]" if exc.stage else ""
         if exc.quarter is not None:
             where += f" in quarter {exc.quarter}"
         print(f"error{where}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the
+        # interpreter's final flush of stdout has nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

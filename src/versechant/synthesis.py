@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .audio_store import (
@@ -83,22 +83,29 @@ class TimedUnit:
     render_beats: int
     trailing_silence_beats: int
 
+    @classmethod
+    def scheduled(
+        cls, unit: Unit, isolated: Weight, contextual: Weight, pitch: int
+    ) -> TimedUnit:
+        """The unit with its beats set to fill its metrical time: the one
+        beat rule.
+
+        A short-chanted unit (t < v) pads with silence at a word end and
+        stretches mid-word; everything else chants for t + 1 beats.
+        Render + silence always sums to v + 1.
+        """
+        t, v = int(isolated), int(contextual)
+        rest = v - t if t < v and unit.word_final else 0
+        return cls(unit, isolated, contextual, pitch, max(t, v) + 1 - rest, rest)
+
 
 def adjust_beat(timed: list[TimedUnit]) -> list[TimedUnit]:
-    """Make each unit fill its metrical time.
-
-    A short-chanted unit (t < v) pads with silence at a word end and
-    stretches mid-word; everything else chants for t + 1 beats.  After
-    adjustment render + silence always sums to v + 1 per unit.
-    """
-    out = []
-    for tu in timed:
-        t, v = int(tu.isolated), int(tu.contextual)
-        rest = v - t if t < v and tu.unit.word_final else 0
-        out.append(
-            replace(tu, render_beats=max(t, v) + 1 - rest, trailing_silence_beats=rest)
-        )
-    return out
+    """Make each unit fill its metrical time, by TimedUnit.scheduled's
+    rule: render + silence then sums to v + 1 per unit."""
+    return [
+        TimedUnit.scheduled(tu.unit, tu.isolated, tu.contextual, tu.pitch)
+        for tu in timed
+    ]
 
 
 @dataclass(frozen=True)
@@ -224,18 +231,11 @@ def prepare(text: str, config: Config | None = None) -> VersePlan:
     for q, weighted in enumerate(analysis.quarters):
         with _stage("pitch"):
             row = analysis.pitches(q)
-        timed = [
-            TimedUnit(
-                unit=wu.unit,
-                isolated=wu.isolated,
-                contextual=wu.contextual,
-                pitch=row[i],
-                render_beats=int(wu.isolated) + 1,
-                trailing_silence_beats=0,
-            )
-            for i, wu in enumerate(weighted)
-        ]
-        plans.append(QuarterPlan(tuple(adjust_beat(timed)), analysis.caesuras(q)))
+        timed = tuple(
+            TimedUnit.scheduled(wu.unit, wu.isolated, wu.contextual, pitch)
+            for wu, pitch in zip(weighted, row)
+        )
+        plans.append(QuarterPlan(timed, analysis.caesuras(q)))
     return VersePlan(analysis, tuple(plans))
 
 

@@ -14,7 +14,6 @@ from versechant.audio_store import (
     ClipRequest,
     SyntheticVoice,
     check_base_freq,
-    synth_clip,
 )
 from versechant.dsp import PITCH_MAX, pitch_shift, write_wav
 from versechant.errors import BadWav, ClipUnavailable, ConfigError
@@ -75,11 +74,18 @@ def reference_consonant_burst(letter, n: int, rate: int, base_freq: float) -> np
 
 
 def reference_synth_clip(request: ClipRequest, base_freq: float, rate: int):
-    """synth_clip with the oracle's tone and burst in place of the kernels."""
+    """A fresh voice's clip with the oracle's tone and burst in place of
+    the kernels (each oracle is handed the frame count of its table)."""
+    def tone(nucleus, z, rate):
+        return reference_vowel_tone(nucleus, len(z), rate, base_freq)
+
+    def burst(letter, z, rate):
+        return reference_consonant_burst(letter, len(z), rate, base_freq)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(audio_store, "_vowel_tone", reference_vowel_tone)
-        mp.setattr(audio_store, "_consonant_burst", reference_consonant_burst)
-        return synth_clip(request, base_freq, rate)
+        mp.setattr(audio_store, "_vowel_tone", tone)
+        mp.setattr(audio_store, "_consonant_burst", burst)
+        return SyntheticVoice(base_freq, rate).get_clip(request)
 
 
 def top_base_freq(rate: int) -> float:
@@ -89,10 +95,10 @@ def top_base_freq(rate: int) -> float:
 def test_synth_clip_rejects_aliasing_base_freq():
     # the bound holds for direct calls too, not only through Config
     with pytest.raises(ConfigError, match="base frequency"):
-        synth_clip(ClipRequest("ā", Weight.GURU, 0.5), 1500.0, 8000)
+        SyntheticVoice(1500.0, 8000).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
     # under rate/8, but a +4 shift would lift the 4th harmonic to 4989 Hz
     with pytest.raises(ConfigError, match="base frequency"):
-        synth_clip(ClipRequest("ā", Weight.GURU, 0.5), 990.0, 8000)
+        SyntheticVoice(990.0, 8000).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
 
 
 def test_top_harmonic_at_top_pitch_stays_below_nyquist():
@@ -101,9 +107,9 @@ def test_top_harmonic_at_top_pitch_stays_below_nyquist():
     rate = 8000
     top = rate / 2 / (HARMONICS * 2.0 ** (PITCH_MAX / 12))
     with pytest.raises(ConfigError, match="base frequency"):
-        synth_clip(ClipRequest("a", Weight.GURU, 0.5), top * 1.001, rate)
+        SyntheticVoice(top * 1.001, rate).get_clip(ClipRequest("a", Weight.GURU, 0.5))
     base = 790.0
-    shifted = pitch_shift(synth_clip(ClipRequest("a", Weight.GURU, 0.5), base, rate), PITCH_MAX)
+    shifted = pitch_shift(SyntheticVoice(base, rate).get_clip(ClipRequest("a", Weight.GURU, 0.5)), PITCH_MAX)
     f0 = base * 2.0 ** (PITCH_MAX / 12)
     mag = np.abs(np.fft.rfft(shifted.samples * np.hanning(shifted.n_frames)))
     freqs = np.fft.rfftfreq(shifted.n_frames, 1.0 / rate)
@@ -116,44 +122,44 @@ def test_top_harmonic_at_top_pitch_stays_below_nyquist():
 def test_synth_clip_duration_exact():
     for weight in (Weight.LAGHU, Weight.GURU):
         for beat in (0.3, 0.5, 0.75):
-            clip = synth_clip(ClipRequest("van", weight, beat))
+            clip = SyntheticVoice().get_clip(ClipRequest("van", weight, beat))
             assert clip.n_frames == expected_frames(weight, beat)
             assert clip.sample_rate == 44100
 
 
 def test_synth_clip_deterministic():
-    a = synth_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
-    b = synth_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
+    a = SyntheticVoice().get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
+    b = SyntheticVoice().get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_synth_clip_distinct_units_differ():
-    a = synth_clip(ClipRequest("van", Weight.LAGHU, 0.5))
-    b = synth_clip(ClipRequest("de", Weight.LAGHU, 0.5))
+    a = SyntheticVoice().get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
+    b = SyntheticVoice().get_clip(ClipRequest("de", Weight.LAGHU, 0.5))
     assert not np.array_equal(a.samples, b.samples)
 
 
 def test_synth_clip_vowel_at_base_freq():
     for base in (220.0, 261.63):
-        clip = synth_clip(ClipRequest("ā", Weight.GURU, 0.5), base_freq=base)
+        clip = SyntheticVoice(base).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
         got = fft_peak_hz(clip.samples, clip.sample_rate)
         assert abs(got - base) / base < 0.01
         # consonant-flanked vowel: inspect the middle half
-        clip = synth_clip(ClipRequest("vān", Weight.GURU, 0.5), base_freq=base)
+        clip = SyntheticVoice(base).get_clip(ClipRequest("vān", Weight.GURU, 0.5))
         n = clip.n_frames
         got = fft_peak_hz(clip.samples[n // 4 : 3 * n // 4], clip.sample_rate)
         assert abs(got - base) / base < 0.01
 
 
 def test_synth_clip_peak_normalized():
-    clip = synth_clip(ClipRequest("snyam", Weight.GURU, 0.5))
+    clip = SyntheticVoice().get_clip(ClipRequest("snyam", Weight.GURU, 0.5))
     peak = np.max(np.abs(clip.samples)) / 32768.0
     assert 0.70 <= peak <= 0.78
 
 
 def test_synth_clip_needs_vowel():
     with pytest.raises(ValueError):
-        synth_clip(ClipRequest("k", Weight.LAGHU, 0.5))
+        SyntheticVoice().get_clip(ClipRequest("k", Weight.LAGHU, 0.5))
 
 
 def test_request_validation():
@@ -189,18 +195,19 @@ def test_voice_matches_reference(pre, nucleus, post, weight, n, rate, base_share
     check_base_freq(base, rate)
     # each kernel alone, at exactly n frames
     vowel = tokenize(nucleus).letters[0]
-    got = audio_store._vowel_tone(vowel, n, rate, base)
+    z = audio_store._phasor(base, n, rate)
+    got = audio_store._vowel_tone(vowel, z, rate)
     assert len(got) == n
     np.testing.assert_allclose(got, reference_vowel_tone(vowel, n, rate, base), rtol=0, atol=1e-9)
     for letter in tokenize("".join(pre + post) or "y").letters:
-        got = audio_store._consonant_burst(letter, n, rate, base)
+        got = audio_store._consonant_burst(letter, z, rate)
         want = reference_consonant_burst(letter, n, rate, base)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     # the whole clip, at about n frames
     if n == 0:
         return
     request = ClipRequest("".join(pre) + nucleus + "".join(post), weight, n / ((int(weight) + 1) * rate))
-    got = synth_clip(request, base, rate).samples
+    got = SyntheticVoice(base, rate).get_clip(request).samples
     want = reference_synth_clip(request, base, rate).samples
     assert len(got) == len(want)
     assert np.max(np.abs(got.astype(np.int32) - want), initial=0) <= 1
@@ -210,19 +217,75 @@ def test_voice_equals_reference_at_bench_scale():
     for text in ("van", "ṇāṃ", "snyam"):
         for weight in (Weight.LAGHU, Weight.GURU):
             request = ClipRequest(text, weight, 0.5)
-            got = synth_clip(request, 220.0, 44100)
+            got = SyntheticVoice(220.0, 44100).get_clip(request)
             want = reference_synth_clip(request, 220.0, 44100)
             assert np.array_equal(got.samples, want.samples)
+
+
+# ---------------------------------------------------------------------------
+# The voice's memo: bursts and the phasor table are kept per instance
+
+unit_texts = st.builds(
+    lambda pre, nucleus, post: "".join(pre) + nucleus + "".join(post),
+    st.lists(st.sampled_from(CONSONANTS), max_size=4),
+    st.sampled_from(VOWELS),
+    st.lists(st.sampled_from(CONSONANTS), max_size=4),
+)
+requests = st.builds(
+    ClipRequest,
+    unit_texts,
+    st.sampled_from([Weight.LAGHU, Weight.GURU]),
+    st.floats(0.02, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reqs=st.lists(requests, min_size=1, max_size=8),
+    rate=st.integers(8_000, 48_000),
+    base_share=st.floats(0.001, 0.999999),
+)
+def test_reused_voice_equals_fresh_voice(reqs, rate, base_share):
+    # clips grow and shrink in random order; replaying them backwards
+    # serves every part from the memo
+    base = base_share * top_base_freq(rate)
+    voice = SyntheticVoice(base, rate)
+    for request in reqs + reqs[::-1]:
+        got = voice.get_clip(request).samples
+        want = SyntheticVoice(base, rate).get_clip(request).samples
+        assert np.array_equal(got, want)
+    # a burst is at most one 60 ms segment plus a frame or two (clusters
+    # here have at most four consonants), and nothing kept is writable
+    seg = int(round(0.06 * rate))
+    for burst in voice._bursts.values():
+        assert len(burst) <= seg + 2
+        assert not burst.flags.writeable
+    assert not voice._table.flags.writeable
+
+
+def test_voice_renders_each_burst_once(monkeypatch):
+    made = []
+
+    def burst(letter, z, rate):
+        made.append((letter.text, len(z)))
+        return np.zeros(len(z))
+
+    monkeypatch.setattr(audio_store, "_consonant_burst", burst)
+    voice = SyntheticVoice()
+    for text in ("van", "de", "vān", "van"):
+        voice.get_clip(ClipRequest(text, Weight.LAGHU, 0.5))
+    assert len(made) == len(set(made)) == 3  # v, n, d at one length each
 
 
 def test_envelope_leaves_the_middle_untouched():
     rate, n = 44100, 30_000
     attack, release = int(0.015 * rate), int(0.030 * rate)
     vowel = tokenize("ā").letters[0]
+    z = audio_store._phasor(220.0, n, rate)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(audio_store, "_envelope", lambda x, attack, release: x)
-        raw = audio_store._vowel_tone(vowel, n, rate, 220.0)
-    tone = audio_store._vowel_tone(vowel, n, rate, 220.0)
+        raw = audio_store._vowel_tone(vowel, z, rate)
+    tone = audio_store._vowel_tone(vowel, z, rate)
     assert np.array_equal(tone[attack : n - release], raw[attack : n - release])
     assert tone[0] == 0.0 and tone[-1] == 0.0
     assert np.all(np.abs(tone) <= np.abs(raw))
@@ -259,8 +322,8 @@ def _write_clip(directory, name, clip):
 
 
 def test_clip_directory_lookup(tmp_path):
-    _write_clip(tmp_path, "van_l.wav", synth_clip(ClipRequest("van", Weight.LAGHU, 0.5)))
-    _write_clip(tmp_path, "ṇāṃ_g.wav", synth_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5)))
+    _write_clip(tmp_path, "van_l.wav", SyntheticVoice().get_clip(ClipRequest("van", Weight.LAGHU, 0.5)))
+    _write_clip(tmp_path, "ṇāṃ_g.wav", SyntheticVoice().get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5)))
     _write_clip(tmp_path, "notaclip.wav", sine_clip(440, 0.1))
     _write_clip(tmp_path, "bad_x.wav", sine_clip(440, 0.1))
     store = ClipDirectory(tmp_path)
@@ -278,7 +341,7 @@ def test_clip_directory_missing_unit(tmp_path):
 
 
 def test_clip_directory_weight_distinguishes(tmp_path):
-    _write_clip(tmp_path, "de_g.wav", synth_clip(ClipRequest("de", Weight.GURU, 0.5)))
+    _write_clip(tmp_path, "de_g.wav", SyntheticVoice().get_clip(ClipRequest("de", Weight.GURU, 0.5)))
     store = ClipDirectory(tmp_path)
     with pytest.raises(ClipUnavailable):
         store.get_clip(ClipRequest("de", Weight.LAGHU, 0.5))
@@ -331,7 +394,7 @@ def test_bad_wav_in_directory(tmp_path):
 
 def test_alias_spelling_in_filename(tmp_path):
     # file written with ṛ finds requests spelled r̥
-    _write_clip(tmp_path, "kṛ_l.wav", synth_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5)))
+    _write_clip(tmp_path, "kṛ_l.wav", SyntheticVoice().get_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5)))
     store = ClipDirectory(tmp_path)
     clip = store.get_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5))
     assert clip.n_frames == expected_frames(Weight.LAGHU, 0.5)

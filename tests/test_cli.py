@@ -145,12 +145,12 @@ def test_metre_db_flag(tmp_path):
 
 
 def test_clips_flag(tmp_path):
-    from versechant.audio_store import ClipRequest, synth_clip
+    from versechant.audio_store import ClipRequest, SyntheticVoice
     from versechant.dsp import write_wav
     from versechant.prosody import Weight
 
     for text, weight in [("van", Weight.GURU), ("de", Weight.GURU)]:
-        clip = synth_clip(ClipRequest(text, weight, 0.5))
+        clip = SyntheticVoice().get_clip(ClipRequest(text, weight, 0.5))
         write_wav(clip, tmp_path / f"{text}_{weight.tag}.wav")
     out_path = tmp_path / "out.wav"
     code, _, _ = run_cli(
@@ -218,3 +218,22 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines() == ["van", "de"]
+
+
+def test_scan_into_a_closed_pipe_is_quiet(tmp_path):
+    # far more output than a pipe holds, so scan is still writing when
+    # the reader leaves after one line, as ``| head -1`` does
+    text = tmp_path / "verses.txt"
+    text.write_text("\n".join([SAMPLE_VERSE] * 200), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "versechant", "scan", "--no-require-metre", str(text)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"metre: none\n"
+    assert err == b""

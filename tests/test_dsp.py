@@ -21,7 +21,7 @@ from versechant.dsp import (
     stretch_to_length,
     write_wav,
 )
-from versechant.audio_store import ClipRequest, synth_clip
+from versechant.audio_store import ClipRequest, SyntheticVoice
 from versechant.errors import BadWav, SampleRateMismatch
 from versechant.prosody import Weight
 
@@ -332,7 +332,7 @@ def test_stretch_and_pitch_equal_reference_at_verse_scale():
     # one- and two-beat synthetic clips at 44.1 kHz, and a 10% long take
     # stretched back to its beat span, as verse and recorded renders do
     for request in (ClipRequest("van", Weight.GURU, 0.5), ClipRequest("de", Weight.LAGHU, 0.5)):
-        clip = synth_clip(request)
+        clip = SyntheticVoice().get_clip(request)
         for s in range(PITCH_MIN, PITCH_MAX + 1):
             if s:
                 want = quantize(reference_pitch_shift(clip.samples, s))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from versechant.alphabet import classify
-from versechant.audio_store import HARMONICS, ClipRequest, synth_clip
+from versechant.audio_store import HARMONICS, ClipRequest, SyntheticVoice
 from versechant.dsp import beat_frames, concat, crossfade_frames, read_wav, silence
 from versechant.errors import (
     ChantError,
@@ -175,11 +175,12 @@ def test_zero_pitch_equals_plain_concatenation(tmp_path):
     config = Config(metre_db_path=db, crossfade=False)
     rendered = synthesize(SAMPLE_VERSE, config).clip
 
+    voice = SyntheticVoice(config.base_freq, config.sample_rate)
     pieces = []
     for quarter in prepare(SAMPLE_VERSE, config).quarters:
         for tu in quarter.timed:
             req = ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), 0.5)
-            pieces.append(synth_clip(req, config.base_freq, config.sample_rate))
+            pieces.append(voice.get_clip(req))
             if tu.trailing_silence_beats:
                 pieces.append(silence(tu.trailing_silence_beats, 0.5, 44100))
         pieces.append(silence(1, 0.5, 44100))
@@ -196,7 +197,7 @@ def test_synthesize_from_clip_directory(tmp_path):
     for quarter in plan.quarters:
         for tu in quarter.timed:
             weight = Weight(tu.render_beats - 1)
-            clip = synth_clip(ClipRequest(tu.unit.text, weight, 0.5), 196.0)
+            clip = SyntheticVoice(196.0).get_clip(ClipRequest(tu.unit.text, weight, 0.5))
             write_wav(clip, tmp_path / f"{tu.unit.text}_{weight.tag}.wav")
     config = replace(config, clip_dir=tmp_path)
     result = synthesize("vande gurūṇām", config)
