@@ -200,7 +200,7 @@ class SyntheticVoice(ClipProvider):
                 burst.setflags(write=False)
                 self._bursts[letter.text, m] = burst
             parts.append(burst)
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
         rate = self.sample_rate

@@ -5,7 +5,8 @@ table, ``units`` prints the syllabic unit split, ``synth`` renders a
 WAV file.  All three share one front end, so Devanagari input is
 detected and converted the same way everywhere.  Machine-readable
 output goes to stdout, progress and errors to stderr.  Exit codes:
-0 success, 1 pipeline error, 2 usage error (bad options or empty text).
+0 success, 1 pipeline error, 2 usage error (bad options, empty text,
+or a file that cannot be read or written).
 A reader that closes stdout early (``| head``) ends the run with exit
 1 and no message.
 """
@@ -28,16 +29,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verse text, a path to a text file, or - to read stdin",
     )
     common.add_argument(
-        "--beat", type=float, default=0.5, metavar="SECONDS",
-        help="beat length in seconds (default 0.5)",
+        "--beat", type=float, default=Config.beat_seconds, metavar="SECONDS",
+        help="beat length in seconds (default %(default)s)",
     )
     common.add_argument(
-        "--rate", type=int, default=44100, metavar="HZ",
-        help="sample rate (default 44100)",
+        "--rate", type=int, default=Config.sample_rate, metavar="HZ",
+        help="sample rate (default %(default)s)",
     )
     common.add_argument(
-        "--base-freq", type=float, default=220.0, metavar="HZ",
-        help="frequency of the base note (default 220)",
+        "--base-freq", type=float, default=Config.base_freq, metavar="HZ",
+        help="frequency of the base note (default %(default)s)",
     )
     common.add_argument(
         "--metre-db", metavar="PATH", default=None,
@@ -141,16 +142,12 @@ def _cmd_synth(text: str, config: Config, out: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    text = _read_text(args.text)
-    if not text.strip():
-        print("error: empty verse text", file=sys.stderr)
-        return 2
     try:
+        text = _read_text(args.text)
+        if not text.strip():
+            print("error: empty verse text", file=sys.stderr)
+            return 2
         config = _config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "scan":
             code = _cmd_scan(text, config)
         elif args.command == "units":
@@ -159,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
             code = _cmd_synth(text, config, args.out)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ChantError as exc:
         where = f" [{exc.stage}]" if exc.stage else ""
         if exc.quarter is not None:
@@ -170,6 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's final flush of stdout has nothing to fail on
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing, unreadable or undecodable input file, or an output
+        # path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

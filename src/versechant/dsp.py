@@ -262,7 +262,8 @@ def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
 # WAV I/O (RIFF, PCM, mono, 16-bit)
 
 def write_wav(clip: AudioClip, path: str | Path) -> None:
-    with wave.open(str(path), "wb") as w:
+    # open the file first, so a failed open leaves no half-built writer
+    with open(path, "wb") as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(clip.sample_rate)

@@ -81,17 +81,6 @@ class MetreDbError(ChantError):
     """A metre database file is malformed."""
 
 
-class PitchArrayOverrun(ChantError):
-    """A quarter has more units than its metre's pitch array."""
-
-    def __init__(self, quarter: int, n_units: int, n_pitches: int):
-        self.quarter = quarter + 1
-        super().__init__(
-            f"quarter {quarter + 1} has {n_units} units but the pitch "
-            f"array holds only {n_pitches}"
-        )
-
-
 class ClipUnavailable(ChantError):
     """The clip store has no recording for a requested unit."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .alphabet import VowelLength
 from .dsp import PITCH_MAX, PITCH_MIN
-from .errors import MetreDbError, NoMatchingMetre, PitchArrayOverrun
+from .errors import MetreDbError, NoMatchingMetre
 from .units import Unit
 
 # Clusters that do not lengthen a preceding short nucleus unless the
@@ -106,7 +106,9 @@ class MetreRecord:
 
     ``pattern`` is four 0/1 strings or None for count-only metres.
     ``pitch_q13`` scores quarters 1 and 3, ``pitch_q24`` quarters 2
-    and 4; pitches are semitone offsets from the base note.
+    and 4; pitches are semitone offsets from the base note.  The shape
+    is checked at construction (``MetreDbError``), so a record's pitch
+    rows always fit its quarters.
     """
 
     name: str
@@ -115,6 +117,35 @@ class MetreRecord:
     caesura: tuple[int, ...]
     pitch_q13: tuple[int, ...]
     pitch_q24: tuple[int, ...]
+
+    def __post_init__(self):
+        name, syllables = self.name, self.syllables
+        if len(syllables) != 4:
+            raise MetreDbError(f"{name}: syllables needs 4 counts, got {len(syllables)}")
+        pattern = self.pattern
+        if pattern is not None:
+            if len(pattern) != 4:
+                raise MetreDbError(f"{name}: pattern needs 4 quarters, got {len(pattern)}")
+            for q, tok in enumerate(pattern):
+                if set(tok) - {"0", "1"}:
+                    raise MetreDbError(f"{name}: pattern quarter {q + 1} is not binary")
+                if len(tok) != syllables[q]:
+                    raise MetreDbError(
+                        f"{name}: pattern quarter {q + 1} has {len(tok)} marks "
+                        f"for {syllables[q]} syllables"
+                    )
+        for p in self.caesura:
+            if not 1 <= p <= max(syllables):
+                raise MetreDbError(f"{name}: caesura position {p} out of range")
+        for row, want_a, want_b, label in (
+            (self.pitch_q13, syllables[0], syllables[2], "pitch_q13"),
+            (self.pitch_q24, syllables[1], syllables[3], "pitch_q24"),
+        ):
+            if len(row) != want_a or len(row) != want_b:
+                raise MetreDbError(f"{name}: {label} length does not match syllables")
+            for p in row:
+                if not PITCH_MIN <= p <= PITCH_MAX:
+                    raise MetreDbError(f"{name}: pitch {p} outside {PITCH_MIN}..{PITCH_MAX}")
 
     def pitch_array(self, quarter: int) -> tuple[int, ...]:
         """Pitch row for quarter index 0..3."""
@@ -177,39 +208,8 @@ def _build_record(block: dict[str, str]) -> MetreRecord:
         pitch_q24 = _parse_int_list(block["pitch_q24"], "pitch_q24")
     except KeyError as exc:
         raise MetreDbError(f"record missing required key {exc.args[0]!r}") from None
-    if len(syllables) != 4:
-        raise MetreDbError(f"{name}: syllables needs 4 counts, got {len(syllables)}")
-
-    pattern = None
-    if "pattern" in block:
-        toks = tuple(block["pattern"].split())
-        if len(toks) != 4:
-            raise MetreDbError(f"{name}: pattern needs 4 quarters, got {len(toks)}")
-        for q, tok in enumerate(toks):
-            if set(tok) - {"0", "1"}:
-                raise MetreDbError(f"{name}: pattern quarter {q + 1} is not binary")
-            if len(tok) != syllables[q]:
-                raise MetreDbError(
-                    f"{name}: pattern quarter {q + 1} has {len(tok)} marks "
-                    f"for {syllables[q]} syllables"
-                )
-        pattern = toks
-
+    pattern = tuple(block["pattern"].split()) if "pattern" in block else None
     caesura = _parse_int_list(block.get("caesura", ""), "caesura")
-    for p in caesura:
-        if not 1 <= p <= max(syllables):
-            raise MetreDbError(f"{name}: caesura position {p} out of range")
-
-    for row, want_a, want_b, label in (
-        (pitch_q13, syllables[0], syllables[2], "pitch_q13"),
-        (pitch_q24, syllables[1], syllables[3], "pitch_q24"),
-    ):
-        if len(row) != want_a or len(row) != want_b:
-            raise MetreDbError(f"{name}: {label} length does not match syllables")
-        for p in row:
-            if not PITCH_MIN <= p <= PITCH_MAX:
-                raise MetreDbError(f"{name}: pitch {p} outside {PITCH_MIN}..{PITCH_MAX}")
-
     return MetreRecord(name, syllables, pattern, caesura, pitch_q13, pitch_q24)
 
 
@@ -271,13 +271,9 @@ class VerseAnalysis:
 
     def pitches(self, quarter: int) -> tuple[int, ...]:
         """Semitone offsets for the quarter's units, flat without a metre."""
-        n = len(self.quarters[quarter])
         if self.metre is None:
-            return (0,) * n
-        row = self.metre.pitch_array(quarter)
-        if n > len(row):
-            raise PitchArrayOverrun(quarter, n, len(row))
-        return row
+            return (0,) * len(self.quarters[quarter])
+        return self.metre.pitch_array(quarter)
 
     def caesuras(self, quarter: int) -> tuple[int, ...]:
         """1-based rest positions; just the quarter end without a metre."""

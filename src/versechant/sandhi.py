@@ -19,11 +19,6 @@ __all__ = [
 ]
 
 
-def _same_word(breaks: frozenset[int], j: int) -> bool:
-    # letters j-1 and j belong to one word iff no break starts at j
-    return j not in breaks
-
-
 def correct_hn(stream: LetterStream) -> LetterStream:
     """Swap h + n to n + h within a word (vahni is spoken vanhi)."""
     letters = list(stream.letters)
@@ -35,7 +30,7 @@ def correct_hn(stream: LetterStream) -> LetterStream:
             if (
                 letters[i].text == "h"
                 and letters[i + 1].text == "n"
-                and _same_word(stream.word_breaks, i + 1)
+                and (i + 1) not in stream.word_breaks
             ):
                 letters[i], letters[i + 1] = letters[i + 1], letters[i]
                 changed = True
@@ -58,7 +53,7 @@ def correct_anusvara(stream: LetterStream) -> LetterStream:
         cur = letters[i]
         if cur.category is not Category.ANUSVARA and cur.text != "m":
             continue
-        if not _same_word(stream.word_breaks, i + 1):
+        if (i + 1) in stream.word_breaks:
             continue
         nasal = CLASS_NASAL.get(letters[i + 1].text)
         if nasal is not None:

@@ -80,32 +80,20 @@ class TimedUnit:
     isolated: Weight
     contextual: Weight
     pitch: int
-    render_beats: int
-    trailing_silence_beats: int
 
-    @classmethod
-    def scheduled(
-        cls, unit: Unit, isolated: Weight, contextual: Weight, pitch: int
-    ) -> TimedUnit:
-        """The unit with its beats set to fill its metrical time: the one
-        beat rule.
+    @property
+    def trailing_silence_beats(self) -> int:
+        """A short-chanted unit (t < v) pads with v - t beats of silence
+        at a word end; mid-word it stretches instead."""
+        t, v = int(self.isolated), int(self.contextual)
+        return v - t if t < v and self.unit.word_final else 0
 
-        A short-chanted unit (t < v) pads with silence at a word end and
-        stretches mid-word; everything else chants for t + 1 beats.
-        Render + silence always sums to v + 1.
-        """
-        t, v = int(isolated), int(contextual)
-        rest = v - t if t < v and unit.word_final else 0
-        return cls(unit, isolated, contextual, pitch, max(t, v) + 1 - rest, rest)
-
-
-def adjust_beat(timed: list[TimedUnit]) -> list[TimedUnit]:
-    """Make each unit fill its metrical time, by TimedUnit.scheduled's
-    rule: render + silence then sums to v + 1 per unit."""
-    return [
-        TimedUnit.scheduled(tu.unit, tu.isolated, tu.contextual, tu.pitch)
-        for tu in timed
-    ]
+    @property
+    def render_beats(self) -> int:
+        """Beats the unit is chanted for: what its trailing silence
+        leaves of max(t, v) + 1."""
+        t, v = int(self.isolated), int(self.contextual)
+        return max(t, v) + 1 - self.trailing_silence_beats
 
 
 @dataclass(frozen=True)
@@ -229,11 +217,9 @@ def prepare(text: str, config: Config | None = None) -> VersePlan:
 
     plans = []
     for q, weighted in enumerate(analysis.quarters):
-        with _stage("pitch"):
-            row = analysis.pitches(q)
         timed = tuple(
-            TimedUnit.scheduled(wu.unit, wu.isolated, wu.contextual, pitch)
-            for wu, pitch in zip(weighted, row)
+            TimedUnit(wu.unit, wu.isolated, wu.contextual, pitch)
+            for wu, pitch in zip(weighted, analysis.pitches(q))
         )
         plans.append(QuarterPlan(timed, analysis.caesuras(q)))
     return VersePlan(analysis, tuple(plans))

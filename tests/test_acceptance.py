@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from versechant.dsp import crossfade_frames, pitch_shift, read_wav, stretch_to_length
 from versechant.prosody import Weight, load_metre_db, weigh_units
 from versechant.sandhi import apply_all
-from versechant.synthesis import Config, TimedUnit, adjust_beat, synthesize
+from versechant.synthesis import Config, TimedUnit, synthesize
 from versechant.transliteration import split_quarters, tokenize
 from versechant.units import Unit, split_into_units
 
@@ -128,11 +128,8 @@ def test_acceptance_6_beat_conservation():
                 t = rng.randint(0, 1)
                 v = max(t, rng.randint(0, 1))
                 unit = Unit((), tokenize("a").letters[0], (), rng.random() < 0.4)
-                timed.append(TimedUnit(unit, Weight(t), Weight(v), 0, t + 1, 0))
-            adjusted = adjust_beat(timed)
-            rendered = sum(
-                tu.render_beats + tu.trailing_silence_beats for tu in adjusted
-            )
+                timed.append(TimedUnit(unit, Weight(t), Weight(v), 0))
+            rendered = sum(tu.render_beats + tu.trailing_silence_beats for tu in timed)
             expected = sum(int(tu.contextual) + 1 for tu in timed)
             assert rendered == expected
         assert pairs >= 1000

@@ -183,10 +183,27 @@ def test_clips_flag(tmp_path):
         pytest.param(["units", "vande x"], 1, "[tokenize]", id="units-bad-letter"),
         pytest.param(["units", "||"], 1, "[input]", id="units-empty-verse"),
         pytest.param(["scan", "||"], 1, "[input]", id="scan-empty-verse"),
+        # {tmp} is a directory holding only latin1.txt
+        pytest.param(
+            ["scan", "vande", "--metre-db", "{tmp}/missing.txt"], 2,
+            "No such file", id="metre-db-missing",
+        ),
+        pytest.param(
+            ["scan", "vande", "--metre-db", "{tmp}"], 2,
+            "Is a directory", id="metre-db-directory",
+        ),
+        pytest.param(
+            ["scan", "{tmp}/latin1.txt"], 2, "can't decode", id="text-file-not-utf8"
+        ),
+        pytest.param(
+            ["synth", "vande", "{tmp}/missing/o.wav", "--no-require-metre"], 2,
+            "No such file", id="synth-out-dir-missing",
+        ),
     ],
 )
-def test_bad_input_is_one_error_line(argv, code, fragment):
-    got, out, err = run_cli(argv)
+def test_bad_input_is_one_error_line(argv, code, fragment, tmp_path):
+    (tmp_path / "latin1.txt").write_bytes("vandé".encode("latin-1"))
+    got, out, err = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert got == code
     assert out == ""
     assert len(err.splitlines()) == 1

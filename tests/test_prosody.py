@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from versechant.errors import MetreDbError, NoMatchingMetre, PitchArrayOverrun
+from versechant.errors import MetreDbError, NoMatchingMetre
 from versechant.prosody import (
-    VerseAnalysis,
+    MetreRecord,
     Weight,
     analyze_quarters,
     classify_metre,
@@ -190,6 +190,26 @@ def test_db_parse_errors(text, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "fields,fragment",
+    [
+        (dict(pitch_q13=(0,)), "pitch_q13 length"),
+        (dict(pitch_q24=(0, 9)), "pitch 9 outside"),
+        (dict(syllables=(2, 2, 2)), "4 counts"),
+    ],
+    ids=["short-pitch-row", "pitch-out-of-range", "three-counts"],
+)
+def test_hand_built_record_checks_its_shape(fields, fragment):
+    good = dict(
+        name="m", syllables=(2, 2, 2, 2), pattern=None, caesura=(),
+        pitch_q13=(0, 1), pitch_q24=(1, 0),
+    )
+    MetreRecord(**good)
+    with pytest.raises(MetreDbError) as info:
+        MetreRecord(**{**good, **fields})
+    assert fragment in str(info.value)
+
+
 def test_classify_upajati_for_sample_verse():
     quarters = [weigh_units(u) for u in quarter_units(SAMPLE_VERSE)]
     patterns = [pattern_string([w.contextual for w in q]) for q in quarters]
@@ -295,11 +315,3 @@ def test_analyze_unmatched_error_fields():
         analyze_quarters(quarter_units("vande | vande | vande | vande"), load_metre_db())
     assert info.value.counts == (2, 2, 2, 2)
     assert info.value.patterns == ("11", "11", "11", "11")
-
-
-def test_pitch_array_overrun():
-    record = load_metre_db()[0]
-    quarters = [weigh_units(u) for u in quarter_units(SAMPLE_VERSE)]
-    analysis = VerseAnalysis(tuple(tuple(q) for q in quarters), record)
-    with pytest.raises(PitchArrayOverrun):
-        analysis.pitches(0)  # 11 units against an 8-pitch row

@@ -24,7 +24,6 @@ from versechant.prosody import Weight
 from versechant.synthesis import (
     Config,
     TimedUnit,
-    adjust_beat,
     prepare,
     synthesize,
 )
@@ -35,7 +34,7 @@ from conftest import Q1_T, Q1_TA, Q1_TE, Q1_V, SAMPLE_VERSE, random_text
 
 def make_timed(t: int, v: int, word_final: bool) -> TimedUnit:
     unit = Unit((), classify("a"), (), word_final)
-    return TimedUnit(unit, Weight(t), Weight(v), 0, t + 1, 0)
+    return TimedUnit(unit, Weight(t), Weight(v), 0)
 
 
 def test_expected_and_actual_time():
@@ -46,17 +45,17 @@ def test_expected_and_actual_time():
     assert quarter.actual_beats == Q1_TA == 16
 
 
-def test_adjust_beat_cases():
-    stretched = adjust_beat([make_timed(0, 1, word_final=False)])[0]
+def test_timed_unit_beat_cases():
+    stretched = make_timed(0, 1, word_final=False)
     assert stretched.render_beats == 2
     assert stretched.trailing_silence_beats == 0
-    padded = adjust_beat([make_timed(0, 1, word_final=True)])[0]
+    padded = make_timed(0, 1, word_final=True)
     assert padded.render_beats == 1
     assert padded.trailing_silence_beats == 1
-    plain = adjust_beat([make_timed(1, 1, word_final=True)])[0]
+    plain = make_timed(1, 1, word_final=True)
     assert plain.render_beats == 2
     assert plain.trailing_silence_beats == 0
-    light = adjust_beat([make_timed(0, 0, word_final=False)])[0]
+    light = make_timed(0, 0, word_final=False)
     assert light.render_beats == 1
     assert light.trailing_silence_beats == 0
 
@@ -70,8 +69,7 @@ def test_beat_conservation_random():
             t = rng.randint(0, 1)
             v = max(t, rng.randint(0, 1))
             timed.append(make_timed(t, v, word_final=rng.random() < 0.4))
-        adjusted = adjust_beat(timed)
-        total = sum(tu.render_beats + tu.trailing_silence_beats for tu in adjusted)
+        total = sum(tu.render_beats + tu.trailing_silence_beats for tu in timed)
         assert total == sum(int(tu.contextual) + 1 for tu in timed)
 
 
