@@ -1,12 +1,15 @@
 """Per-unit audio clips: a deterministic synthetic voice and a
 directory of recorded clips.
 
-A clip request names a unit's text, its weight, and the beat length;
-the clip handed back always lasts exactly (weight + 1) beats at the
-engine sample rate, so the renderer can do beat arithmetic in frames.
-Recorded clips are files named ``<unit_text>_<l|g>.wav``.  Providers
-keep no clips: the renderer memoizes them, one fetch per distinct
-request in a render.
+A clip request names a unit's text, its weight, the beat length and
+the pitch in semitones; the clip handed back always lasts exactly
+(weight + 1) beats at the engine sample rate, so the renderer can do
+beat arithmetic in frames.  A provider that ``sings_at_pitch`` (the
+synthetic voice) returns the clip at the request's pitch; any other
+(recorded clips, files named ``<unit_text>_<l|g>.wav``) is asked at
+pitch 0 and the renderer pitch-shifts its clip with the phase vocoder.
+Providers keep no clips: the renderer memoizes them, one fetch per
+distinct request in a render.
 
 The synthetic voice runs no trigonometry per frame.  Its sines come
 from a phasor table built by angle addition: one block of in-block
@@ -16,13 +19,16 @@ recurrence, not from one sine per harmonic.
 
 A voice renders each of its pure parts once per instance, and the
 renderer builds one voice per render.  The voice keeps one phasor table
-at its base frequency, grown to the longest vowel asked for so far (16
-bytes a frame: 0.7 MB for a two-beat vowel at 0.5 s and 44.1 kHz), and
-one consonant burst per distinct (letter, length).  A burst lasts at
-most one 60 ms segment plus a frame per consonant of its cluster (about
-21 KB at 44.1 kHz), and a render asks for few lengths per letter: a
-16-line text keeps about 32 bursts, 0.7 MB.  Both are read-only, and
-every clip of the voice shares them.
+per pitch it has sung, at base_freq · 2^(pitch/12), each grown to the
+longest vowel asked for at that pitch (16 bytes a frame: 0.7 MB for a
+two-beat vowel at 0.5 s and 44.1 kHz), so at most 12 tables, one per
+pitch in PITCH_MIN..PITCH_MAX.  It keeps one consonant burst per
+distinct (letter, length), and per pitch as well for the voiced letters
+(semivowels and nasals), which mix in the fundamental.  A burst lasts
+at most one 60 ms segment plus a frame per consonant of its cluster
+(about 21 KB at 44.1 kHz), and a render asks for few lengths per
+letter: a 16-line text keeps about 32 bursts, 0.7 MB.  Tables and
+bursts are read-only, and every clip of the voice shares them.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .alphabet import Category, Letter
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
     PITCH_MAX,
+    PITCH_MIN,
     AudioClip,
     _to_int16,
     beat_frames,
@@ -72,10 +79,15 @@ class ClipRequest:
     unit_text: str
     weight: Weight
     beat_seconds: float
+    pitch: int = 0  # semitones above the base note
 
     def __post_init__(self):
         if self.beat_seconds <= 0:
             raise ValueError("beat_seconds must be positive")
+        if self.pitch != int(self.pitch) or not PITCH_MIN <= self.pitch <= PITCH_MAX:
+            raise ValueError(
+                f"pitch {self.pitch} is not a whole number in {PITCH_MIN}..{PITCH_MAX}"
+            )
 
     def n_frames(self, sample_rate: int) -> int:
         """Weight + 1 beats in frames: the one length every provider's clip has."""
@@ -86,7 +98,13 @@ class ClipProvider(ABC):
     """Source of unit clips.  Each call builds or loads the clip anew;
     the renderer memoizes whole clips, so providers keep no clips.  A
     synthetic voice does keep the parts its clips share (its bursts and
-    its phasor table), bounded as the module docstring says."""
+    its phasor tables), bounded as the module docstring says.
+
+    ``sings_at_pitch`` tells the renderer that ``get_clip`` returns the
+    clip at ``request.pitch``; a provider without it is always asked at
+    pitch 0, and its clips are pitch-shifted afterwards."""
+
+    sings_at_pitch = False
 
     @abstractmethod
     def get_clip(self, request: ClipRequest) -> AudioClip: ...
@@ -146,6 +164,12 @@ def _vowel_tone(nucleus: Letter, z: np.ndarray, rate: int) -> np.ndarray:
     return _envelope(x, int(0.015 * rate), int(0.030 * rate))
 
 
+def _voiced(letter: Letter) -> bool:
+    """Semivowels and nasals: the consonants whose burst carries the
+    fundamental."""
+    return letter.category is Category.SEMIVOWEL or letter.text in _NASALS
+
+
 def _consonant_burst(letter: Letter, z: np.ndarray, rate: int) -> np.ndarray:
     """Band-limited noise for the letter, len(z) frames long; semivowels
     and nasals mix in the fundamental whose phasor table is z."""
@@ -161,17 +185,20 @@ def _consonant_burst(letter: Letter, z: np.ndarray, rate: int) -> np.ndarray:
     peak = np.max(np.abs(x))
     if peak > 0:
         x /= peak
-    voiced = letter.category is Category.SEMIVOWEL or letter.text in _NASALS
-    if voiced:
+    if _voiced(letter):
         x = 0.5 * x + 0.5 * z.imag
     x *= 0.45
     return _envelope(x, int(0.003 * rate), int(0.003 * rate))
 
 
 class SyntheticVoice(ClipProvider):
-    """Noise-burst consonants around a harmonic vowel at base_freq,
-    deterministic for a given request.  Its clips share one phasor
-    table, served by prefix, and one burst per (letter, frames)."""
+    """Noise-burst consonants around a harmonic vowel, sung at
+    base_freq · 2^(pitch/12) and deterministic for a given request.
+    Its clips share one phasor table per pitch, served by prefix, and
+    one burst per (letter, frames), and per pitch if the letter is
+    voiced."""
+
+    sings_at_pitch = True
 
     def __init__(
         self, base_freq: float = 220.0, sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -179,31 +206,37 @@ class SyntheticVoice(ClipProvider):
         check_base_freq(base_freq, sample_rate)
         self.base_freq = base_freq
         self.sample_rate = sample_rate
-        self._table = np.zeros(0, dtype=complex)
-        self._bursts: dict[tuple[str, int], np.ndarray] = {}
+        self._tables: dict[int, np.ndarray] = {}  # pitch -> phasor table
+        # (letter, frames, pitch); an unvoiced burst is noise alone, so
+        # every pitch shares its entry under pitch 0
+        self._bursts: dict[tuple[str, int, int], np.ndarray] = {}
 
-    def _phasors(self, n: int) -> np.ndarray:
-        """The first n entries of the voice's phasor table."""
-        if n > len(self._table):
-            self._table = _phasor(self.base_freq, n, self.sample_rate)
-            self._table.setflags(write=False)
-        return self._table[:n]
+    def _phasors(self, n: int, pitch: int) -> np.ndarray:
+        """The first n entries of the phasor table at the pitch's
+        frequency; at pitch 0 that is exactly base_freq."""
+        table = self._tables.get(pitch)
+        if table is None or n > len(table):
+            freq = self.base_freq * 2.0 ** (pitch / 12)
+            table = self._tables[pitch] = _phasor(freq, n, self.sample_rate)
+            table.setflags(write=False)
+        return table[:n]
 
-    def _consonant_run(self, letters, n: int) -> np.ndarray:
+    def _consonant_run(self, letters, n: int, pitch: int) -> np.ndarray:
         each = n // len(letters)
         parts = []
         for k, letter in enumerate(letters):
             m = n - each * (len(letters) - 1) if k == len(letters) - 1 else each
-            burst = self._bursts.get((letter.text, m))
+            key = (letter.text, m, pitch if _voiced(letter) else 0)
+            burst = self._bursts.get(key)
             if burst is None:
-                burst = _consonant_burst(letter, self._phasors(m), self.sample_rate)
+                z = self._phasors(m, pitch)
+                burst = self._bursts[key] = _consonant_burst(letter, z, self.sample_rate)
                 burst.setflags(write=False)
-                self._bursts[letter.text, m] = burst
             parts.append(burst)
         return np.concatenate(parts)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        rate = self.sample_rate
+        rate, pitch = self.sample_rate, request.pitch
         n = request.n_frames(rate)
         stream = tokenize(request.unit_text)
         vowel_at = next(
@@ -220,10 +253,10 @@ class SyntheticVoice(ClipProvider):
         coda = min(len(post) * seg, n // 4)
         parts = []
         if onset:
-            parts.append(self._consonant_run(pre, onset))
-        parts.append(_vowel_tone(nucleus, self._phasors(n - onset - coda), rate))
+            parts.append(self._consonant_run(pre, onset, pitch))
+        parts.append(_vowel_tone(nucleus, self._phasors(n - onset - coda, pitch), rate))
         if coda:
-            parts.append(self._consonant_run(post, coda))
+            parts.append(self._consonant_run(post, coda, pitch))
         x = np.concatenate(parts)
         peak = np.max(np.abs(x)) if len(x) else 0.0
         if peak > 0:
@@ -264,6 +297,9 @@ class ClipDirectory(ClipProvider):
         return len(self._index)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
+        if request.pitch:
+            # a take is sung at one pitch; the renderer shifts it
+            raise ValueError("recorded clips are served at pitch 0 only")
         path = self._index.get((normalize(request.unit_text), request.weight))
         if path is None:
             raise ClipUnavailable(request.unit_text, request.weight.tag)

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ChantError, ConfigError
+from .errors import ChantError, ConfigError, UndecodableFile
 from .synthesis import Config, prepare, split_text, synthesize
 
 
@@ -83,6 +83,8 @@ def _read_text(arg: str) -> str:
         path = Path(arg)
         if path.exists() and path.is_file():
             return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(path, exc) from None
     except OSError:
         pass
     return arg
@@ -156,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             code = _cmd_synth(text, config, args.out)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except ConfigError as exc:
+    except (ConfigError, UndecodableFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChantError as exc:
@@ -171,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (OSError, UnicodeDecodeError) as exc:
-        # a missing, unreadable or undecodable input file, or an output
-        # path that cannot be opened
+        # a missing or unreadable input file, stdin that is not text, or
+        # an output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

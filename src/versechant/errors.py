@@ -81,6 +81,14 @@ class MetreDbError(ChantError):
     """A metre database file is malformed."""
 
 
+class UndecodableFile(ChantError):
+    """A text file (verse text or metre database) is not valid UTF-8."""
+
+    def __init__(self, path, reason: UnicodeDecodeError):
+        self.path = path
+        super().__init__(f"cannot decode {path} as UTF-8: {reason}")
+
+
 class ClipUnavailable(ChantError):
     """The clip store has no recording for a requested unit."""
 

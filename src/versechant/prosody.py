@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .alphabet import VowelLength
 from .dsp import PITCH_MAX, PITCH_MIN
-from .errors import MetreDbError, NoMatchingMetre
+from .errors import MetreDbError, NoMatchingMetre, UndecodableFile
 from .units import Unit
 
 # Clusters that do not lengthen a preceding short nucleus unless the
@@ -221,7 +221,11 @@ def load_metre_db(path: str | Path | None = None) -> tuple[MetreRecord, ...]:
     """
     if path is None:
         return _bundled_metre_db()
-    return _records(Path(path).read_text("utf-8"))
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(path, exc) from None
+    return _records(text)
 
 
 @cache

@@ -2,8 +2,11 @@
 
 The pipeline is: split the text into quarters, tokenize, apply sandhi
 corrections, split into units, weigh and classify the metre, then
-fetch one clip per unit, pitch it per the metre's pitch row, and
-concatenate everything on the beat grid with rests at the caesuras.
+fetch one clip per unit at the pitch the metre's pitch row gives it,
+and concatenate everything on the beat grid with rests at the
+caesuras.  The synthetic voice sings each clip at its pitch; a clip
+from a provider that cannot (recorded takes) is fetched at the base
+note and pitch-shifted by the phase vocoder.
 
 Beat accounting: a unit whose chanted time t falls short of its
 metrical time v gets the difference as trailing silence when it ends
@@ -233,9 +236,11 @@ def synthesize(
 ) -> RenderResult:
     """Render a verse to one audio clip, optionally writing a WAV file.
 
-    Each quarter's slots are rendered in grid order: a unit's clip,
-    pitch-shifted per the metre, or a rest of silence.  Each distinct
-    clip request goes to the store once per render.
+    Each quarter's slots are rendered in grid order: a unit's clip at
+    the metre's pitch, or a rest of silence.  A store that
+    ``sings_at_pitch`` is asked for the clip at that pitch; any other is
+    asked at pitch 0 and its clip pitch-shifted.  Each distinct clip
+    request goes to the store once per render.
     """
     config = config if config is not None else Config()
     plan = prepare(text, config)
@@ -253,13 +258,14 @@ def synthesize(
                 if tu is None:
                     pieces.append(silence(beats, beat, rate))
                     continue
-                request = ClipRequest(tu.unit.text, Weight(beats - 1), beat)
+                sung = tu.pitch if store.sings_at_pitch else 0
+                request = ClipRequest(tu.unit.text, Weight(beats - 1), beat, sung)
                 with _stage("clips"):
                     clip = clips.get(request)
                     if clip is None:
                         clip = clips[request] = store.get_clip(request)
                 with _stage("pitch"):
-                    pieces.append(pitch_shift(clip, tu.pitch))
+                    pieces.append(pitch_shift(clip, tu.pitch - sung))
         clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:

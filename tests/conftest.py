@@ -1,12 +1,15 @@
 """Shared fixtures: frozen oracle values, an independent spectral-peak
-estimator, and seeded random verse generators for the property suites."""
+estimator, a voice that records its requests, an IAST-to-Devanagari
+speller, and seeded random verse generators for the property suites."""
 
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import numpy as np
 
+from versechant.audio_store import SyntheticVoice
 from versechant.dsp import AudioClip
 
 # The worked sample verse.  Quarter-1 unit and weight values below were
@@ -53,6 +56,18 @@ def fft_peak_hz(samples: np.ndarray, rate: int) -> float:
         if denom != 0:
             peak = k + 0.5 * (a - c) / denom
     return peak * rate / len(samples)
+
+
+class CountingVoice(SyntheticVoice):
+    """A synthetic voice that records every request it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def get_clip(self, request):
+        self.requests.append(request)
+        return super().get_clip(request)
 
 
 def sine_clip(
@@ -119,3 +134,52 @@ def random_word(rng: random.Random) -> str:
 
 def random_text(rng: random.Random, max_words: int = 5) -> str:
     return " ".join(random_word(rng) for _ in range(rng.randint(1, max_words)))
+
+
+# ---------------------------------------------------------------------------
+# IAST to Devanagari, written from the script's rules, not from the
+# package's converter: a consonant before a vowel takes the vowel's sign
+# (none for a), a consonant before anything else takes a virama, and a
+# vowel after no consonant is written as its independent letter.
+
+DEVA_VOWELS = {
+    "a": "अ", "ā": "आ", "i": "इ", "ī": "ई", "u": "उ", "ū": "ऊ",
+    "r̥": "ऋ", "r̥̄": "ॠ", "l̥": "ऌ", "e": "ए", "ai": "ऐ", "o": "ओ", "au": "औ",
+}
+DEVA_SIGNS = {
+    "a": "", "ā": "ा", "i": "ि", "ī": "ी", "u": "ु", "ū": "ू",
+    "r̥": "ृ", "r̥̄": "ॄ", "l̥": "ॢ", "e": "े", "ai": "ै", "o": "ो", "au": "ौ",
+}
+DEVA_CONSONANTS = dict(zip(
+    "k kh g gh ṅ c ch j jh ñ ṭ ṭh ḍ ḍh ṇ t th d dh n p ph b bh m y r l v ś ṣ s h".split(),
+    "कखगघङचछजझञटठडढणतथदधनपफबभमयरलवशषसह",
+))
+DEVA_MARKS = {"ṃ": "ं", "ḥ": "ः"}
+VIRAMA = "्"
+
+
+def iast_to_devanagari(text: str) -> str:
+    """Devanagari spelling of lowercase IAST text; whitespace is kept."""
+    s = unicodedata.normalize("NFC", text)
+    table = {**DEVA_VOWELS, **DEVA_CONSONANTS, **DEVA_MARKS}
+    out: list[str] = []
+    owes = False  # the last consonant still needs a vowel sign or a virama
+    i = 0
+    while i < len(s):
+        if s[i].isspace():
+            token = s[i]
+        else:
+            # longest letter first, so "kh" is one letter and "ai" one vowel
+            token = next(s[i : i + w] for w in (3, 2, 1) if s[i : i + w] in table)
+        if token in DEVA_VOWELS:
+            out.append(DEVA_SIGNS[token] if owes else DEVA_VOWELS[token])
+            owes = False
+        else:
+            if owes:
+                out.append(VIRAMA)
+            owes = token in DEVA_CONSONANTS
+            out.append(table.get(token, token))
+        i += len(token)
+    if owes:
+        out.append(VIRAMA)
+    return "".join(out)

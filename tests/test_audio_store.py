@@ -15,13 +15,13 @@ from versechant.audio_store import (
     SyntheticVoice,
     check_base_freq,
 )
-from versechant.dsp import PITCH_MAX, pitch_shift, write_wav
+from versechant.dsp import PITCH_MAX, PITCH_MIN, pitch_shift, write_wav
 from versechant.errors import BadWav, ClipUnavailable, ConfigError
 from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
 from versechant.transliteration import tokenize
 
-from conftest import fft_peak_hz, sine_clip
+from conftest import CountingVoice, fft_peak_hz, sine_clip
 
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
@@ -165,6 +165,10 @@ def test_synth_clip_needs_vowel():
 def test_request_validation():
     with pytest.raises(ValueError):
         ClipRequest("van", Weight.LAGHU, 0.0)
+    for bad in (PITCH_MIN - 1, PITCH_MAX + 1, 1.5):
+        with pytest.raises(ValueError, match="pitch"):
+            ClipRequest("van", Weight.LAGHU, 0.5, bad)
+    assert ClipRequest("van", Weight.LAGHU, 0.5).pitch == 0
 
 
 VOWELS = ["a", "ā", "i", "ī", "u", "ū", "ṛ", "e", "ai", "o", "au"]
@@ -223,7 +227,40 @@ def test_voice_equals_reference_at_bench_scale():
 
 
 # ---------------------------------------------------------------------------
-# The voice's memo: bursts and the phasor table are kept per instance
+# Pitched clips: the voice sings at base · 2^(p/12)
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nucleus=st.sampled_from(VOWELS),
+    weight=st.sampled_from([Weight.LAGHU, Weight.GURU]),
+    pitch=st.integers(PITCH_MIN, PITCH_MAX),
+    rate=st.integers(8_000, 48_000),
+    base_share=st.floats(0.08, 0.999999),
+    beat=st.floats(0.25, 0.6),
+)
+def test_pitched_clip_spectrum(nucleus, weight, pitch, rate, base_share, beat):
+    base = base_share * top_base_freq(rate)
+    request = ClipRequest(nucleus, weight, beat, pitch)
+    clip = SyntheticVoice(base, rate).get_clip(request)
+    assert clip.n_frames == request.n_frames(rate)
+    n = clip.n_frames
+    bin_hz = rate / n
+    f0 = base * 2.0 ** (pitch / 12)
+    # the fundamental leads, within one FFT bin of its frequency
+    assert abs(fft_peak_hz(clip.samples, rate) - f0) <= bin_hz
+    # and no peak lies above the top harmonic: a folded harmonic would
+    # carry at least 8% of the fundamental (the amplitudes are 0.08 to
+    # 0.3), while every other peak stays far under 1%
+    mag = np.abs(np.fft.rfft(clip.samples * np.hanning(n)))
+    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    inner = mag[1:-1]
+    peaks = (inner > mag[:-2]) & (inner >= mag[2:]) & (inner > 0.03 * np.max(mag))
+    assert np.all(freqs[1:-1][peaks] <= HARMONICS * f0 + bin_hz)
+
+
+# ---------------------------------------------------------------------------
+# The voice's memo: bursts and one phasor table per pitch are kept per
+# instance
 
 unit_texts = st.builds(
     lambda pre, nucleus, post: "".join(pre) + nucleus + "".join(post),
@@ -236,6 +273,7 @@ requests = st.builds(
     unit_texts,
     st.sampled_from([Weight.LAGHU, Weight.GURU]),
     st.floats(0.02, 1.0),
+    st.integers(PITCH_MIN, PITCH_MAX),
 )
 
 
@@ -260,7 +298,10 @@ def test_reused_voice_equals_fresh_voice(reqs, rate, base_share):
     for burst in voice._bursts.values():
         assert len(burst) <= seg + 2
         assert not burst.flags.writeable
-    assert not voice._table.flags.writeable
+    # one read-only table per pitch sung, none for a pitch not asked for
+    assert set(voice._tables) <= {request.pitch for request in reqs}
+    for table in voice._tables.values():
+        assert not table.flags.writeable
 
 
 def test_voice_renders_each_burst_once(monkeypatch):
@@ -277,6 +318,25 @@ def test_voice_renders_each_burst_once(monkeypatch):
     assert len(made) == len(set(made)) == 3  # v, n, d at one length each
 
 
+def test_voice_keys_voiced_bursts_by_pitch(monkeypatch):
+    # an unvoiced burst is noise alone and serves every pitch; a nasal
+    # mixes in the fundamental, so it is built once per pitch, at it
+    made = []
+
+    def burst(letter, z, rate):
+        made.append((letter.text, np.angle(z[1]) * rate / (2 * np.pi)))
+        return np.zeros(len(z))
+
+    monkeypatch.setattr(audio_store, "_consonant_burst", burst)
+    base, rate = 220.0, 44100
+    voice = SyntheticVoice(base, rate)
+    for pitch in (-7, 0, 4, 0, -7):
+        voice.get_clip(ClipRequest("kan", Weight.LAGHU, 0.5, pitch))
+    assert [text for text, _ in made].count("k") == 1
+    nasal = [freq for text, freq in made if text == "n"]
+    np.testing.assert_allclose(nasal, [base * 2.0 ** (p / 12) for p in (-7, 0, 4)], rtol=1e-9)
+
+
 def test_envelope_leaves_the_middle_untouched():
     rate, n = 44100, 30_000
     attack, release = int(0.015 * rate), int(0.030 * rate)
@@ -291,22 +351,12 @@ def test_envelope_leaves_the_middle_untouched():
     assert np.all(np.abs(tone) <= np.abs(raw))
 
 
-class CountingVoice(SyntheticVoice):
-    def __init__(self):
-        super().__init__()
-        self.requests = []
-
-    def get_clip(self, request):
-        self.requests.append(request)
-        return super().get_clip(request)
-
-
 def test_render_fetches_each_clip_once():
     config = Config(require_metre=False)
     voice = CountingVoice()
     result = synthesize("vande vande", config, store=voice)
     needed = [
-        ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds)
+        ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds, tu.pitch)
         for q in result.plan.quarters
         for tu in q.timed
     ]
@@ -338,6 +388,16 @@ def test_clip_directory_missing_unit(tmp_path):
     store = ClipDirectory(tmp_path)
     with pytest.raises(ClipUnavailable):
         store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
+
+
+def test_clip_directory_serves_the_base_note_only(tmp_path):
+    # it does not sing at pitch, so a pitched request is refused rather
+    # than answered with the unpitched take
+    _write_clip(tmp_path, "van_l.wav", SyntheticVoice().get_clip(ClipRequest("van", Weight.LAGHU, 0.5)))
+    store = ClipDirectory(tmp_path)
+    assert not store.sings_at_pitch
+    with pytest.raises(ValueError, match="pitch 0"):
+        store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5, 3))
 
 
 def test_clip_directory_weight_distinguishes(tmp_path):

@@ -192,8 +192,16 @@ def test_clips_flag(tmp_path):
             ["scan", "vande", "--metre-db", "{tmp}"], 2,
             "Is a directory", id="metre-db-directory",
         ),
+        # the one line names the file that failed to decode
         pytest.param(
-            ["scan", "{tmp}/latin1.txt"], 2, "can't decode", id="text-file-not-utf8"
+            ["scan", "{tmp}/latin1.txt"], 2,
+            "cannot decode {tmp}/latin1.txt as UTF-8: 'utf-8' codec can't decode",
+            id="text-file-not-utf8",
+        ),
+        pytest.param(
+            ["scan", "vande", "--metre-db", "{tmp}/latin1.txt"], 2,
+            "cannot decode {tmp}/latin1.txt as UTF-8: 'utf-8' codec can't decode",
+            id="metre-db-not-utf8",
         ),
         pytest.param(
             ["synth", "vande", "{tmp}/missing/o.wav", "--no-require-metre"], 2,
@@ -208,7 +216,7 @@ def test_bad_input_is_one_error_line(argv, code, fragment, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error")
-    assert fragment in err
+    assert fragment.replace("{tmp}", str(tmp_path)) in err
 
 
 def test_front_end_error_names_its_quarter():

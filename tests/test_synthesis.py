@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from versechant import synthesis
 from versechant.alphabet import classify
 from versechant.audio_store import HARMONICS, ClipRequest, SyntheticVoice
 from versechant.dsp import beat_frames, concat, crossfade_frames, read_wav, silence
@@ -29,7 +31,7 @@ from versechant.synthesis import (
 )
 from versechant.units import Unit
 
-from conftest import Q1_T, Q1_TA, Q1_TE, Q1_V, SAMPLE_VERSE, random_text
+from conftest import Q1_T, Q1_TA, Q1_TE, Q1_V, SAMPLE_VERSE, CountingVoice, random_text
 
 
 def make_timed(t: int, v: int, word_final: bool) -> TimedUnit:
@@ -201,6 +203,66 @@ def test_synthesize_from_clip_directory(tmp_path):
     result = synthesize("vande gurūṇām", config)
     want = int(round(result.plan.total_beats * 0.5 * 44100))
     assert result.clip.n_frames == want
+
+
+def sha256(clip) -> str:
+    return hashlib.sha256(clip.samples.tobytes()).hexdigest()
+
+
+def record_shifts(monkeypatch) -> list[int]:
+    shifts = []
+    shift = synthesis.pitch_shift
+
+    def spy(clip, semitones):
+        shifts.append(semitones)
+        return shift(clip, semitones)
+
+    monkeypatch.setattr(synthesis, "pitch_shift", spy)
+    return shifts
+
+
+def test_voice_sings_each_unit_at_its_pitch(monkeypatch):
+    shifts = record_shifts(monkeypatch)
+    voice = CountingVoice()
+    result = synthesize(SAMPLE_VERSE, Config(), store=voice)
+    pitches = [tu.pitch for q in result.plan.quarters for tu in q.timed]
+    assert {r.pitch for r in voice.requests} == set(pitches) and len(set(pitches)) > 1
+    # no clip is left for the vocoder: every shift is 0
+    assert shifts == [0] * len(pitches)
+
+
+def test_unpitched_render_is_unchanged():
+    # every pitch is 0, so the render is the base-note render it was
+    # before the voice sang at pitch (hash taken from that version)
+    config = Config(require_metre=False)
+    result = synthesize("vande gurūṇāṃ caraṇāravinde sandarśitasvātmasukhāvabodhe", config)
+    assert {tu.pitch for q in result.plan.quarters for tu in q.timed} == {0}
+    assert result.clip.n_frames == 811010
+    assert sha256(result.clip) == (
+        "5e04553b0898c81f776b84bff03c7b957b0491f063afa1224ac7951a9330f846"
+    )
+
+
+def test_recorded_takes_are_vocoded_as_before(tmp_path, monkeypatch):
+    from versechant.dsp import write_wav
+
+    # takes cannot sing at pitch: each is asked for at the base note and
+    # shifted by its unit's pitch, and the render is the one it was
+    # before the voice sang at pitch (hash taken from that version)
+    config = Config(crossfade=False)
+    plan = prepare(SAMPLE_VERSE, config)
+    for quarter in plan.quarters:
+        for tu in quarter.timed:
+            weight = Weight(tu.render_beats - 1)
+            clip = SyntheticVoice(196.0).get_clip(ClipRequest(tu.unit.text, weight, 0.5))
+            write_wav(clip, tmp_path / f"{tu.unit.text}_{weight.tag}.wav")
+    shifts = record_shifts(monkeypatch)
+    result = synthesize(SAMPLE_VERSE, replace(config, clip_dir=tmp_path))
+    assert shifts == [tu.pitch for q in plan.quarters for tu in q.timed]
+    assert result.clip.n_frames == 1653750
+    assert sha256(result.clip) == (
+        "2ee01139f6e853eed617666c75711ae5634db7a39de7d3cb96879629530f61e2"
+    )
 
 
 def test_synthesize_missing_clip_annotated(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versechant.alphabet import Category, classify
 from versechant.errors import UnknownCharacter, UnsupportedCodePoint
@@ -14,7 +16,9 @@ from versechant.transliteration import (
     tokenize,
 )
 
-from conftest import SAMPLE_VERSE, random_text
+from versechant.synthesis import split_text
+
+from conftest import SAMPLE_VERSE, iast_to_devanagari, random_text
 
 
 def letter_texts(s):
@@ -151,3 +155,16 @@ def test_devanagari_rejects_digits():
 def test_devanagari_output_tokenizes():
     text = devanagari_to_latin("वन्दे गुरूणां चरणारविन्दे")
     assert tokenize(text).text() == "vande gurūṇāṃ caraṇāravinde"
+
+
+def test_iast_to_devanagari_helper():
+    assert iast_to_devanagari("vande gurūṇāṃ") == "वन्दे गुरूणां"
+    assert iast_to_devanagari("r̥ṣiḥ kr̥t") == "ऋषिः कृत्"
+    assert iast_to_devanagari("aiśvaryam") == "ऐश्वर्यम्"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), lines=st.integers(1, 4))
+def test_devanagari_and_its_iast_give_the_same_units(rng, lines):
+    iast = "\n".join(random_text(rng) for _ in range(lines))
+    assert split_text(iast_to_devanagari(iast)) == split_text(iast)
