@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import Category, Letter
+from .alphabet import STOP_ROWS, Category, Letter
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
     PITCH_MAX,
@@ -56,7 +56,7 @@ from .errors import BadWav, ClipUnavailable, ConfigError
 from .prosody import Weight
 from .transliteration import normalize, tokenize
 
-_NASALS = ("ṅ", "ñ", "ṇ", "n", "m")
+_NASALS = tuple(row[-1] for row in STOP_ROWS)
 
 # the synthetic vowel sums this many harmonics of the base frequency
 HARMONICS = 4
@@ -273,11 +273,14 @@ class ClipDirectory(ClipProvider):
     Files are conformed to the engine: resampled to the engine rate,
     then brought to the exact expected frame count.  A duration off by
     5% or more of the expected length is time-stretched; smaller gaps
-    are padded or trimmed.
+    are padded or trimmed.  A path that is not a directory raises
+    ``ConfigError``.
     """
 
     def __init__(self, directory: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE):
         self.directory = Path(directory)
+        if not self.directory.is_dir():
+            raise ConfigError(f"clip directory {directory} is not a directory")
         self.sample_rate = sample_rate
         self._index: dict[tuple[str, Weight], Path] = {}
         for path in sorted(self.directory.glob("*.wav")):

@@ -133,11 +133,16 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate == clip.sample_rate:
         return clip
     x = _to_float(clip.samples)
-    n = len(x)
-    m = max(1, int(round(n * target_rate / clip.sample_rate)))
-    pos = np.minimum(np.arange(m) * (clip.sample_rate / target_rate), n - 1)
-    y = np.interp(pos, np.arange(n), x)
+    m = max(1, int(round(len(x) * target_rate / clip.sample_rate)))
+    y = _interpolate(x, m, clip.sample_rate / target_rate)
     return AudioClip(_to_int16(y), target_rate)
+
+
+def _interpolate(x: np.ndarray, m: int, step: float) -> np.ndarray:
+    """m samples of x read every ``step`` input frames by linear
+    interpolation; reads past the last frame take the last frame."""
+    n = len(x)
+    return np.interp(np.minimum(np.arange(m) * step, n - 1), np.arange(n), x)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +254,9 @@ def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
     if semitones == 0 or clip.n_frames == 0:
         return clip
     ratio = 2.0 ** (semitones / 12.0)
-    x = _to_float(clip.samples)
-    n = len(x)
+    n = clip.n_frames
     m = max(1, int(round(n / ratio)))
-    pos = np.minimum(np.arange(m) * ratio, n - 1)
-    resampled = np.interp(pos, np.arange(n), x)
-    y = _stretch_signal(resampled, n)
+    y = _stretch_signal(_interpolate(_to_float(clip.samples), m, ratio), n)
     return AudioClip(_to_int16(y), clip.sample_rate)
 
 

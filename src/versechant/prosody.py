@@ -18,11 +18,7 @@ from pathlib import Path
 from .alphabet import VowelLength
 from .dsp import PITCH_MAX, PITCH_MIN
 from .errors import MetreDbError, NoMatchingMetre, UndecodableFile
-from .units import Unit
-
-# Clusters that do not lengthen a preceding short nucleus unless the
-# optional promotion is switched on.
-_LIGHT_CLUSTERS = (("p", "r"), ("b", "r"), ("k", "r"), ("h",))
+from .units import LIGHT_CLUSTERS, Unit
 
 
 class Weight(enum.IntEnum):
@@ -54,43 +50,31 @@ def isolated_weight(unit: Unit) -> Weight:
     return Weight.LAGHU
 
 
-def contextual_weights(
-    units: list[Unit], promote_light_clusters: bool = False
-) -> list[Weight]:
-    """Weights of the units chanted in sequence.
-
-    A light unit turns heavy when its coda plus the next unit's onset
-    form a cluster of two or more consonants.  Clusters of exactly
-    p+r, b+r, k+r, or a lone h promote only when
-    ``promote_light_clusters`` is set.  Context stops at the end of
-    the sequence, so pass one quarter at a time.
-    """
-    weights = []
-    for i, unit in enumerate(units):
-        if isolated_weight(unit) is Weight.GURU:
-            weights.append(Weight.GURU)
-            continue
-        cluster = list(unit.post_vowel)
-        if i + 1 < len(units):
-            cluster.extend(units[i + 1].pre_vowel)
-        texts = tuple(l.text for l in cluster)
-        if texts in _LIGHT_CLUSTERS:
-            weights.append(Weight.GURU if promote_light_clusters else Weight.LAGHU)
-        elif len(cluster) >= 2:
-            weights.append(Weight.GURU)
-        else:
-            weights.append(Weight.LAGHU)
-    return weights
-
-
 def weigh_units(
     units: list[Unit], promote_light_clusters: bool = False
 ) -> list[WeightedUnit]:
-    ctx = contextual_weights(units, promote_light_clusters)
-    return [
-        WeightedUnit(unit, isolated_weight(unit), v)
-        for unit, v in zip(units, ctx)
-    ]
+    """The units with their isolated weight t and their weight v when
+    chanted in sequence.
+
+    A light unit turns heavy in sequence when its coda plus the next
+    unit's onset form a cluster of two or more consonants.  A cluster
+    that is exactly one of ``units.LIGHT_CLUSTERS`` (p+r, b+r, k+r, a
+    lone h) promotes only when ``promote_light_clusters`` is set.  Context stops at the end of
+    the sequence, so pass one quarter at a time.
+    """
+    weighted = []
+    for i, unit in enumerate(units):
+        t = v = isolated_weight(unit)
+        if t is Weight.LAGHU:
+            cluster = unit.post_vowel
+            if i + 1 < len(units):
+                cluster += units[i + 1].pre_vowel
+            if tuple(l.text for l in cluster) in LIGHT_CLUSTERS:
+                v = Weight.GURU if promote_light_clusters else Weight.LAGHU
+            elif len(cluster) >= 2:
+                v = Weight.GURU
+        weighted.append(WeightedUnit(unit, t, v))
+    return weighted
 
 
 def pattern_string(weights: list[Weight]) -> str:

@@ -132,11 +132,6 @@ class QuarterPlan:
     def total_beats(self) -> int:
         return sum(beats for _, beats in self.slots())
 
-    @property
-    def piece_count(self) -> int:
-        """Clips this quarter contributes: units, rests, silences."""
-        return len(self.slots())
-
 
 @dataclass(frozen=True)
 class VersePlan:
@@ -148,12 +143,9 @@ class VersePlan:
         return sum(q.total_beats for q in self.quarters)
 
     @property
-    def piece_count(self) -> int:
-        return sum(q.piece_count for q in self.quarters)
-
-    @property
     def joins(self) -> int:
-        return max(0, self.piece_count - 1)
+        """Joins between the clips of the render: units, rests, silences."""
+        return max(0, sum(len(q.slots()) for q in self.quarters) - 1)
 
 
 @dataclass(frozen=True)

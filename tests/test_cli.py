@@ -192,6 +192,16 @@ def test_clips_flag(tmp_path):
             ["scan", "vande", "--metre-db", "{tmp}"], 2,
             "Is a directory", id="metre-db-directory",
         ),
+        pytest.param(
+            ["synth", "vande", "{tmp}/o.wav", "--no-require-metre",
+             "--clips", "{tmp}/missing"], 2,
+            "clip directory {tmp}/missing is not a directory", id="clips-missing",
+        ),
+        pytest.param(
+            ["synth", "vande", "{tmp}/o.wav", "--no-require-metre",
+             "--clips", "{tmp}/latin1.txt"], 2,
+            "clip directory {tmp}/latin1.txt is not a directory", id="clips-file",
+        ),
         # the one line names the file that failed to decode
         pytest.param(
             ["scan", "{tmp}/latin1.txt"], 2,

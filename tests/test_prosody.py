@@ -10,7 +10,6 @@ from versechant.prosody import (
     Weight,
     analyze_quarters,
     classify_metre,
-    contextual_weights,
     isolated_weight,
     load_metre_db,
     parse_metre_db,
@@ -34,6 +33,10 @@ from conftest import (
 
 def units_of(text: str):
     return split_into_units(apply_all(tokenize(text)))
+
+
+def contextual(units, promote_light_clusters: bool = False) -> list[Weight]:
+    return [wu.contextual for wu in weigh_units(units, promote_light_clusters)]
 
 
 def quarter_units(verse: str):
@@ -64,26 +67,26 @@ def test_context_promotes_before_conjunct():
     # "a" in ajñā is light alone but heavy before the jñ cluster
     units = units_of("ajñā")
     assert isolated_weight(units[0]) is Weight.LAGHU
-    assert contextual_weights(units) == [Weight.GURU, Weight.GURU]
+    assert contextual(units) == [Weight.GURU, Weight.GURU]
     # across a word boundary too
     units = units_of("na tvam")
-    assert contextual_weights(units)[0] is Weight.GURU
+    assert contextual(units)[0] is Weight.GURU
 
 
 def test_context_stops_at_sequence_end():
     units = units_of("na")
-    assert contextual_weights(units) == [Weight.LAGHU]
+    assert contextual(units) == [Weight.LAGHU]
 
 
 def test_light_clusters_stay_light_by_default():
     units = units_of("sapriyaḥ")
-    assert contextual_weights(units)[0] is Weight.LAGHU
-    assert contextual_weights(units, promote_light_clusters=True)[0] is Weight.GURU
+    assert contextual(units)[0] is Weight.LAGHU
+    assert contextual(units, promote_light_clusters=True)[0] is Weight.GURU
     # lone h behaves the same way: "ra" before the bare h onset
     units = units_of("sāraha lā")
     assert [u.text for u in units] == ["sā", "ra", "ha", "lā"]
-    v = contextual_weights(units)
-    v_promoted = contextual_weights(units, promote_light_clusters=True)
+    v = contextual(units)
+    v_promoted = contextual(units, promote_light_clusters=True)
     assert v[1] is Weight.LAGHU
     assert v_promoted[1] is Weight.GURU
 
@@ -91,7 +94,7 @@ def test_light_clusters_stay_light_by_default():
 def test_cluster_containing_pr_still_promotes():
     # coda consonant + pr onset is three deep: always heavy
     units = units_of("tat priyam")
-    assert contextual_weights(units)[0] is Weight.GURU
+    assert contextual(units)[0] is Weight.GURU
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_synthesize_duration_with_crossfade():
     result = synthesize(SAMPLE_VERSE, Config())
     xf = crossfade_frames(44100)
     want = int(round(result.plan.total_beats * 0.5 * 44100))
-    assert result.joins == result.plan.piece_count - 1
+    assert result.joins == sum(len(q.slots()) for q in result.plan.quarters) - 1
     assert abs(want - result.clip.n_frames) <= result.joins * xf
 
 

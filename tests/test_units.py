@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from versechant.alphabet import classify
+from versechant.alphabet import LETTERS, classify
 from versechant.errors import MalformedTail, NoVowelInWord
 from versechant.sandhi import apply_all
 from versechant.transliteration import LetterStream, tokenize
@@ -32,6 +34,9 @@ def test_golden_words():
     assert split_texts("ajñā") == ["a", "jñā"]
     assert split_texts("sapriyaḥ") == ["sa", "pri", "yaḥ"]
     assert split_texts("brahma") == ["bra", "hma"]
+    # kṣ moves whole to the next unit, as jñ does
+    assert split_texts("akṣara") == ["a", "kṣa", "ra"]
+    assert split_texts("lakṣmī") == ["la", "kṣmī"]
 
 
 def test_more_coda_shapes():
@@ -116,26 +121,61 @@ def test_malformed_tails():
         split_into_units(tokenize("saṃs"))
 
 
+def assert_split_law(stream: LetterStream, units) -> None:
+    """Each word's units join back to its letters, each unit holds
+    exactly one vowel, and no onset holds a tail marker."""
+    rebuilt = []
+    word = []
+    for u in units:
+        word.append(u.text)
+        if u.word_final:
+            rebuilt.append("".join(word))
+            word = []
+    words = [
+        "".join(l.text for l in stream.letters[a:b]) for a, b in stream.word_spans()
+    ]
+    assert rebuilt == words
+    for u in units:
+        assert u.vowel.is_vowel
+        assert not any(l.is_vowel for l in u.pre_vowel)
+        assert not any(l.is_vowel for l in u.post_vowel)
+        assert not any(l.is_tail_marker for l in u.pre_vowel)
+
+
 def test_lossless_split_random():
     rng = random.Random(99)
     for _ in range(500):
         stream = tokenize(random_text(rng))
+        assert_split_law(stream, split_into_units(stream))
+
+
+# every letter once, plus extra weight on the letters the cut rule names,
+# so tail markers, hiatus, a + i/u pairs and vowel-less words all occur
+_POOL = tuple(LETTERS.values()) + tuple(
+    classify(t) for t in "a a a a a a i i u u ā e ṃ ḥ r r h k ṣ j ñ p b".split()
+)
+
+
+@st.composite
+def letter_streams(draw):
+    letters = tuple(draw(st.lists(st.sampled_from(_POOL), max_size=14)))
+    positions = st.integers(1, max(1, len(letters) - 1))
+    breaks = draw(st.sets(positions, max_size=4)) if len(letters) > 1 else set()
+    return LetterStream(letters, frozenset(breaks))
+
+
+@settings(max_examples=500, deadline=None)
+@given(stream=letter_streams())
+def test_split_law_on_arbitrary_letters(stream):
+    try:
         units = split_into_units(stream)
-        # concatenation per word reproduces the word text
-        rebuilt = []
-        word = []
-        for u in units:
-            word.append(u.text)
-            if u.word_final:
-                rebuilt.append("".join(word))
-                word = []
-        words = [
-            "".join(l.text for l in stream.letters[a:b])
-            for a, b in stream.word_spans()
-        ]
-        assert rebuilt == words
-        # exactly one nucleus each
-        for u in units:
-            assert u.vowel.is_vowel
-            assert not any(l.is_vowel for l in u.pre_vowel)
-            assert not any(l.is_vowel for l in u.post_vowel)
+    except (NoVowelInWord, MalformedTail) as exc:
+        # the failure names a word that breaks the rule it reports
+        start, end = stream.word_spans()[exc.word_index]
+        word = stream.letters[start:end]
+        if isinstance(exc, NoVowelInWord):
+            assert not any(l.is_vowel for l in word)
+        else:
+            assert any(l.is_tail_marker for l in word)
+        return
+    assert_split_law(stream, units)
