@@ -123,9 +123,6 @@ _add(Letter(VISARGA, Category.VISARGA))
 _add(Letter(JIHVAMULIYA, Category.JIHVAMULIYA))
 _add(Letter(UPADHMANIYA, Category.UPADHMANIYA))
 
-#: longest letter text, in code points (r̥̄ is three)
-MAX_LETTER_LEN = max(len(t) for t in LETTERS)
-
 
 def classify(text: str) -> Letter:
     """Return the Letter for ``text`` or raise UnknownLetter."""
@@ -133,7 +130,3 @@ def classify(text: str) -> Letter:
         return LETTERS[text]
     except KeyError:
         raise UnknownLetter(text) from None
-
-
-def is_letter(text: str) -> bool:
-    return text in LETTERS

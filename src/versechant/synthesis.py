@@ -17,6 +17,7 @@ every quarter fills exactly its expected beats.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +63,8 @@ class Config:
         beat, rate, freq = self.beat_seconds, self.sample_rate, self.base_freq
         if not (math.isfinite(beat) and beat > 0):
             raise ConfigError(f"beat must be a positive number of seconds, got {beat}")
-        if not rate > 0:
-            raise ConfigError(f"sample rate must be positive, got {rate}")
+        if not (isinstance(rate, numbers.Integral) and rate > 0):
+            raise ConfigError(f"sample rate must be a positive whole number, got {rate}")
         check_base_freq(freq, rate)
         if self.crossfade and beat * rate < crossfade_frames(rate):
             # each join would eat more than a whole one-beat piece

@@ -5,6 +5,14 @@ alphabet letters plus the set of indices where a new word starts.
 ``LetterStream.text`` joins letter texts with single spaces at the
 word breaks, so tokenize and ``text()`` round-trip exactly on
 canonical, single-spaced romanized input.
+
+Each script is scanned by one compiled pattern.  Romanized text is a
+sequence of gaps (whitespace, "|" or a danda) and letters, each the
+longest alphabet text at its offset.  Devanagari text is a sequence
+of consonants, each with at most one mark (a virama or a vowel sign;
+no mark means the inherent a), independent vowels, the signs ṃ and
+ḥ, dandas and whitespace.  Any other character is an error at its
+offset.  The dandas "।" and "॥" break quarters in either script.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .alphabet import MAX_LETTER_LEN, Letter, classify, is_letter
+from .alphabet import LETTERS, Letter
 from .errors import UnknownCharacter, UnsupportedCodePoint
 
 # Alternate spellings accepted on input, folded to the canonical
@@ -26,7 +34,7 @@ _ALIASES = {
     "ṁ": "ṃ",           # ṁ -> ṃ
 }
 
-_QUARTER_SEP = re.compile(r"\|{1,2}|[\r\n]+")
+_QUARTER_SEP = re.compile(r"[|।॥\r\n]+")
 
 
 def normalize(text: str) -> str:
@@ -69,44 +77,34 @@ class LetterStream:
         return spans if self.letters else []
 
 
-def _match_letter(s: str, i: int) -> Letter | None:
-    # longest match first: letter texts run up to MAX_LETTER_LEN
-    # code points (kh, ai, r̥̄ ...), so "kh" never tokenizes as k+h
-    for width in range(MAX_LETTER_LEN, 0, -1):
-        cand = s[i : i + width]
-        if is_letter(cand):
-            return classify(cand)
-    return None
+# One alternation scans romanized text: a gap run, or the longest
+# letter text at this offset (alternatives are tried in order, so the
+# longest first), or any other character, which is an error.
+_ROMAN_SCAN = re.compile(
+    r"(?P<gap>[\s|।॥]+)|(?P<letter>%s)|(?P<bad>.)"
+    % "|".join(map(re.escape, sorted(LETTERS, key=len, reverse=True))),
+    re.S,
+)
 
 
 def tokenize(text: str) -> LetterStream:
     """Tokenize romanized verse text into a LetterStream.
 
-    Whitespace and danda marks act as word breaks.  Raises
+    Whitespace, "|" and the dandas "।" "॥" act as word breaks.  Raises
     UnknownCharacter at the first position (in the normalized text)
     that matches no letter.
     """
-    s = normalize(text)
     letters: list[Letter] = []
-    breaks: set[int] = set()
-    pending_break = False
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace() or ch == "|":
-            if letters:
-                pending_break = True
-            i += 1
-            continue
-        letter = _match_letter(s, i)
-        if letter is None:
-            raise UnknownCharacter(i, ch)
-        if pending_break:
-            breaks.add(len(letters))
-            pending_break = False
-        letters.append(letter)
-        i += len(letter.text)
-    return LetterStream(tuple(letters), frozenset(breaks))
+    gaps: set[int] = set()
+    for m in _ROMAN_SCAN.finditer(normalize(text)):
+        if m.lastgroup == "gap":
+            gaps.add(len(letters))
+        elif m.lastgroup == "letter":
+            letters.append(LETTERS[m.group()])
+        else:
+            raise UnknownCharacter(m.start(), m.group())
+    breaks = frozenset(i for i in gaps if 0 < i < len(letters))
+    return LetterStream(tuple(letters), breaks)
 
 
 def split_quarters(text: str) -> list[str]:
@@ -116,20 +114,6 @@ def split_quarters(text: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Devanagari input
-
-_DEVA_INDEPENDENT = {
-    "अ": "a", "आ": "ā", "इ": "i", "ई": "ī",
-    "उ": "u", "ऊ": "ū", "ऋ": "r̥",
-    "ॠ": "r̥̄", "ऌ": "l̥",
-    "ए": "e", "ऐ": "ai", "ओ": "o", "औ": "au",
-}
-
-_DEVA_MATRA = {
-    "ा": "ā", "ि": "i", "ी": "ī",
-    "ु": "u", "ू": "ū", "ृ": "r̥",
-    "ॄ": "r̥̄", "ॢ": "l̥",
-    "े": "e", "ै": "ai", "ो": "o", "ौ": "au",
-}
 
 _DEVA_CONSONANT = {
     "क": "k", "ख": "kh", "ग": "g", "घ": "gh",
@@ -147,67 +131,63 @@ _DEVA_CONSONANT = {
     "ह": "h",
 }
 
-# Signs attach to the finished syllable.  Candrabindu is folded to
-# plain anusvara.
-_DEVA_SIGN = {
+# Marks a consonant may carry: the virama kills its inherent a, a
+# vowel sign replaces it.
+_DEVA_MARK = {
+    "्": "",  # virama
+    "ा": "ā", "ि": "i", "ी": "ī",
+    "ु": "u", "ू": "ū", "ृ": "r̥",
+    "ॄ": "r̥̄", "ॢ": "l̥",
+    "े": "e", "ै": "ai", "ो": "o", "ौ": "au",
+}
+
+# Everything that stands on its own: independent vowels, the signs that
+# follow a finished syllable (candrabindu folds to plain anusvara), and
+# the dandas, spelled "|" and "||" as in romanized text.
+_DEVA_STANDALONE = {
+    "अ": "a", "आ": "ā", "इ": "i", "ई": "ī",
+    "उ": "u", "ऊ": "ū", "ऋ": "r̥",
+    "ॠ": "r̥̄", "ऌ": "l̥",
+    "ए": "e", "ऐ": "ai", "ओ": "o", "औ": "au",
     "ं": "ṃ",  # anusvara
     "ँ": "ṃ",  # candrabindu
     "ः": "ḥ",  # visarga
+    "।": " | ",  # danda
+    "॥": " || ",  # double danda
 }
 
-_VIRAMA = "्"
+# A consonant with at most one mark, or a standalone sign, or
+# whitespace; anything else, a stray mark included, is an error.
+_DEVA_SCAN = re.compile(
+    "([%s])([%s])?|([%s]|\\s)|(.)"
+    % tuple(re.escape("".join(t)) for t in (_DEVA_CONSONANT, _DEVA_MARK, _DEVA_STANDALONE)),
+    re.S,
+)
+
+
+def _deva_to_latin(m: re.Match[str]) -> str:
+    consonant, mark, standalone, bad = m.groups()
+    if consonant:
+        return _DEVA_CONSONANT[consonant] + ("a" if mark is None else _DEVA_MARK[mark])
+    if standalone:
+        return _DEVA_STANDALONE.get(standalone, standalone)
+    raise UnsupportedCodePoint(m.start(), bad)
 
 
 def detect_devanagari(text: str) -> bool:
-    return any("ऀ" <= ch <= "ॿ" for ch in text)
+    """True if any code point is Devanagari other than the dandas,
+    which romanized text may use too."""
+    return any("ऀ" <= ch <= "ॿ" and ch not in "।॥" for ch in text)
 
 
 def devanagari_to_latin(text: str) -> str:
     """Convert Devanagari verse text to its romanized equivalent.
 
-    Consonants carry the inherent short a unless killed by a virama
-    or replaced by a vowel sign.  Danda and double danda come out as
-    "|" and "||" so quarter splitting works the same for both scripts.
-    Anything that is neither Devanagari, whitespace, nor danda raises
-    UnsupportedCodePoint.
+    Consonants carry the inherent short a unless a virama or a vowel
+    sign follows.  Danda and double danda come out as "|" and "||".
+    A virama or vowel sign that follows no consonant, and any code
+    point outside the tables and whitespace (avagraha, digits, nukta,
+    Latin letters), raises UnsupportedCodePoint at its position in
+    the NFC text.
     """
-    s = unicodedata.normalize("NFC", text)
-    out: list[str] = []
-    pending = False  # a consonant was emitted and still owes its inherent a
-
-    def flush() -> None:
-        nonlocal pending
-        if pending:
-            out.append("a")
-            pending = False
-
-    for pos, ch in enumerate(s):
-        if ch.isspace():
-            flush()
-            out.append(ch)
-        elif ch == "।":  # danda
-            flush()
-            out.append(" | ")
-        elif ch == "॥":  # double danda
-            flush()
-            out.append(" || ")
-        elif ch in _DEVA_CONSONANT:
-            flush()
-            out.append(_DEVA_CONSONANT[ch])
-            pending = True
-        elif ch == _VIRAMA:
-            pending = False
-        elif ch in _DEVA_MATRA:
-            out.append(_DEVA_MATRA[ch])
-            pending = False
-        elif ch in _DEVA_INDEPENDENT:
-            flush()
-            out.append(_DEVA_INDEPENDENT[ch])
-        elif ch in _DEVA_SIGN:
-            flush()
-            out.append(_DEVA_SIGN[ch])
-        else:
-            # avagraha, digits, nukta forms, and anything non-Devanagari
-            raise UnsupportedCodePoint(pos, ch)
-    flush()
-    return "".join(out)
+    return _DEVA_SCAN.sub(_deva_to_latin, unicodedata.normalize("NFC", text))

@@ -130,6 +130,10 @@ def test_devanagari_flag_and_autodetect():
     code, out, _ = run_cli(["units", "वन्दे"])
     assert code == 0
     assert out.splitlines() == ["van", "de"]
+    # a danda alone does not make romanized text Devanagari
+    code, out, _ = run_cli(["units", "vande ।"])
+    assert code == 0
+    assert out.splitlines() == ["van", "de"]
 
 
 def test_metre_db_flag(tmp_path):
@@ -181,6 +185,11 @@ def test_clips_flag(tmp_path):
             "base frequency", id="base-freq-harmonics-alias",
         ),
         pytest.param(["units", "vande x"], 1, "[tokenize]", id="units-bad-letter"),
+        pytest.param(
+            ["units", "ा"], 1,
+            "[transliteration]: unsupported code point U+093E at position 0",
+            id="units-stray-vowel-sign",
+        ),
         pytest.param(["units", "||"], 1, "[input]", id="units-empty-verse"),
         pytest.param(["scan", "||"], 1, "[input]", id="scan-empty-verse"),
         # {tmp} is a directory holding only latin1.txt

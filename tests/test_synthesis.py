@@ -281,6 +281,15 @@ def test_config_is_frozen():
         replace(config, beat_seconds=0)
 
 
+def test_config_rejects_a_fractional_sample_rate():
+    # a WAV header holds a whole number of frames per second
+    with pytest.raises(ConfigError, match="sample rate"):
+        Config(sample_rate=22050.5)
+    with pytest.raises(ConfigError, match="sample rate"):
+        Config(sample_rate=22050.0)
+    assert Config(sample_rate=np.int64(22050)).sample_rate == 22050
+
+
 def test_config_rejects_aliasing_base_freq():
     # the top harmonic of the synthetic vowel must stay below Nyquist
     assert HARMONICS == 4

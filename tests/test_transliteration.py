@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from versechant.alphabet import Category, classify
+from versechant.alphabet import LETTERS, Category, classify
 from versechant.errors import UnknownCharacter, UnsupportedCodePoint
 from versechant.transliteration import (
     detect_devanagari,
@@ -18,7 +19,16 @@ from versechant.transliteration import (
 
 from versechant.synthesis import split_text
 
-from conftest import SAMPLE_VERSE, iast_to_devanagari, random_text
+from conftest import (
+    DEVA_CONSONANTS,
+    DEVA_MARKS,
+    DEVA_SIGNS,
+    DEVA_VOWELS,
+    SAMPLE_VERSE,
+    VIRAMA,
+    iast_to_devanagari,
+    random_text,
+)
 
 
 def letter_texts(s):
@@ -111,6 +121,54 @@ def test_split_quarters():
     assert split_quarters("  ||  ") == []
 
 
+def is_gap(ch):
+    return ch.isspace() or ch in "|।॥"
+
+
+ROMAN_PIECES = sorted(LETTERS) + [
+    "ṛ", "ṝ", "ḷ", "ṁ", "m̐",  # alias spellings
+    "A", "Kh", "Ā", "Ṛ", "AU",  # uppercase
+    "\u0304", "\u0325", "\u0310", "\u0307",  # stray combining marks
+    " ", "\u00a0", "\u2028", "\u001c", "\t", "|", "।", "॥",  # gaps
+    "q", "x", "1", "-", "é", "ॐ",  # junk
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(ROMAN_PIECES), max_size=14).map("".join))
+def test_tokenize_is_the_greedy_longest_letter_scan(text):
+    s = normalize(text)
+    # the scan written out: skip gaps, else take the longest letter text
+    want, bad, i = [], None, 0
+    while i < len(s) and bad is None:
+        found = [t for t in LETTERS if s.startswith(t, i)]
+        if is_gap(s[i]):
+            i += 1
+        elif found:
+            want.append(max(found, key=len))
+            i += len(want[-1])
+        else:
+            bad = i
+    if bad is None:
+        stream = tokenize(text)
+        assert [l.text for l in stream.letters] == want
+        # one space per gap run rebuilds the stripped, collapsed text
+        assert stream.text() == " ".join("".join(" " if is_gap(c) else c for c in s).split())
+    else:
+        with pytest.raises(UnknownCharacter) as info:
+            tokenize(text)
+        assert (info.value.position, info.value.char) == (bad, s[bad])
+
+
+def test_dandas_work_in_romanized_text():
+    assert not detect_devanagari("vande । gurūṇāṃ ॥")
+    assert split_quarters("a । b ॥ c") == ["a", "b", "c"]
+    assert tokenize("vande।gurūṇāṃ॥").text() == "vande gurūṇāṃ"
+    for verse in (SAMPLE_VERSE, "vande gurūṇāṃ | caraṇāravinde ||"):
+        with_dandas = verse.replace("||", "॥").replace("|", "।")
+        assert split_text(with_dandas) == split_text(verse)
+
+
 # ---------------------------------------------------------------------------
 # Devanagari
 
@@ -150,6 +208,45 @@ def test_devanagari_rejects_avagraha():
 def test_devanagari_rejects_digits():
     with pytest.raises(UnsupportedCodePoint):
         devanagari_to_latin("वन्दे १")
+
+
+@pytest.mark.parametrize(
+    "text, position", [("अ्", 1), ("ा", 0), ("क््", 2), ("कि्", 2), ("नमः ा", 4)]
+)
+def test_devanagari_rejects_a_stray_virama_or_vowel_sign(text, position):
+    with pytest.raises(UnsupportedCodePoint) as info:
+        devanagari_to_latin(text)
+    assert (info.value.position, info.value.char) == (position, text[position])
+
+
+DEVA_CONSONANT_SET = set(DEVA_CONSONANTS.values())
+DEVA_MARK_SET = {sign for sign in DEVA_SIGNS.values() if sign} | {VIRAMA}
+DEVA_TABLED = (
+    DEVA_CONSONANT_SET | DEVA_MARK_SET | set(DEVA_VOWELS.values())
+    | set(DEVA_MARKS.values()) | {"ँ", "।", "॥"}  # candrabindu, dandas
+)
+DEVA_PIECES = sorted(DEVA_TABLED) + [
+    " ", "\n", "\u00a0", "ऽ", "०", "१", "़", "ॐ", "v",  # avagraha, digits, nukta
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(DEVA_PIECES), max_size=12).map("".join))
+def test_devanagari_converts_or_names_the_first_bad_code_point(text):
+    s = unicodedata.normalize("NFC", text)
+
+    def bad(p):
+        stray = s[p] in DEVA_MARK_SET and (p == 0 or s[p - 1] not in DEVA_CONSONANT_SET)
+        return stray or not (s[p] in DEVA_TABLED or s[p].isspace())
+
+    first_bad = next((p for p in range(len(s)) if bad(p)), None)
+    if first_bad is None:
+        tokenize(devanagari_to_latin(text))
+    else:
+        with pytest.raises(UnsupportedCodePoint) as info:
+            devanagari_to_latin(text)
+        assert info.value.position == first_bad
+        devanagari_to_latin(s[:first_bad])
 
 
 def test_devanagari_output_tokenizes():
