@@ -33,6 +33,8 @@ bursts are read-only, and every clip of the voice shares them.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -68,10 +70,10 @@ _BLOCK = 256
 def check_base_freq(base_freq: float, sample_rate: int) -> None:
     """Raise ConfigError unless base * 2^(PITCH_MAX/12) * HARMONICS <
     rate / 2, so the top harmonic stays below Nyquist at the highest
-    pitch the metre can ask for (NaN and infinity fail too)."""
+    pitch the metre can ask for (NaN, infinity and non-numbers fail too)."""
     top = sample_rate / (2 * HARMONICS * 2.0 ** (PITCH_MAX / 12))
-    if not 0 < base_freq < top:
-        raise ConfigError(f"base frequency must lie in (0, {top:g}), got {base_freq}")
+    if not (isinstance(base_freq, numbers.Real) and 0 < base_freq < top):
+        raise ConfigError(f"base frequency must lie in (0, {top:g}), got {base_freq!r}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,8 @@ class ClipRequest:
     pitch: int = 0  # semitones above the base note
 
     def __post_init__(self):
-        if self.beat_seconds <= 0:
-            raise ValueError("beat_seconds must be positive")
+        if not (math.isfinite(self.beat_seconds) and self.beat_seconds > 0):
+            raise ValueError("beat_seconds must be positive and finite")
         if self.pitch != int(self.pitch) or not PITCH_MIN <= self.pitch <= PITCH_MAX:
             raise ValueError(
                 f"pitch {self.pitch} is not a whole number in {PITCH_MIN}..{PITCH_MAX}"
@@ -273,7 +275,8 @@ class ClipDirectory(ClipProvider):
     Files are conformed to the engine: resampled to the engine rate,
     then brought to the exact expected frame count.  A duration off by
     5% or more of the expected length is time-stretched; smaller gaps
-    are padded or trimmed.  A path that is not a directory raises
+    are padded or trimmed.  A path that is not a directory, or two
+    files whose names normalize to one (unit, weight) take, raise
     ``ConfigError``.
     """
 
@@ -283,18 +286,18 @@ class ClipDirectory(ClipProvider):
             raise ConfigError(f"clip directory {directory} is not a directory")
         self.sample_rate = sample_rate
         self._index: dict[tuple[str, Weight], Path] = {}
+        weights = {w.tag: w for w in Weight}
         for path in sorted(self.directory.glob("*.wav")):
-            stem = path.stem
-            if "_" not in stem:
+            unit_text, sep, tag = path.stem.rpartition("_")
+            if not sep or tag not in weights:
                 continue
-            unit_text, _, tag = stem.rpartition("_")
-            if tag == "l":
-                weight = Weight.LAGHU
-            elif tag == "g":
-                weight = Weight.GURU
-            else:
-                continue
-            self._index[(normalize(unit_text), weight)] = path
+            key = (normalize(unit_text), weights[tag])
+            other = self._index.setdefault(key, path)
+            if other is not path:
+                raise ConfigError(
+                    f"clip files {other.name} and {path.name} are both the take "
+                    f"{key[0]}_{tag}"
+                )
 
     def __len__(self) -> int:
         return len(self._index)

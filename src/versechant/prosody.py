@@ -4,6 +4,12 @@ Two weights exist per unit: the isolated weight t (the unit chanted
 alone) and the contextual weight v (the unit inside its quarter,
 where a following conjunct can lengthen it).  Weights are 0 for light
 (laghu) and 1 for heavy (guru), so a unit occupies weight + 1 beats.
+A unit's one record, its ``TimedUnit``, is pitched by the metre's row.
+
+Beat accounting: a unit whose chanted time t falls short of its
+metrical time v gets the difference as trailing silence when it ends
+a word, and is chanted long (stretched clip) when it does not, so
+every quarter fills exactly its expected beats.
 """
 
 from __future__ import annotations
@@ -32,10 +38,32 @@ class Weight(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class WeightedUnit:
+class TimedUnit:
+    """A unit scheduled on the beat grid.
+
+    ``isolated`` (t) and ``contextual`` (v) are the unit's weights;
+    the unit is chanted for ``render_beats`` and followed by
+    ``trailing_silence_beats`` of rest, together always v + 1 beats.
+    """
+
     unit: Unit
-    isolated: Weight     # t
-    contextual: Weight   # v
+    isolated: Weight
+    contextual: Weight
+    pitch: int = 0
+
+    @property
+    def trailing_silence_beats(self) -> int:
+        """A short-chanted unit (t < v) pads with v - t beats of silence
+        at a word end; mid-word it stretches instead."""
+        t, v = int(self.isolated), int(self.contextual)
+        return v - t if t < v and self.unit.word_final else 0
+
+    @property
+    def render_beats(self) -> int:
+        """Beats the unit is chanted for: what its trailing silence
+        leaves of max(t, v) + 1."""
+        t, v = int(self.isolated), int(self.contextual)
+        return max(t, v) + 1 - self.trailing_silence_beats
 
 
 def isolated_weight(unit: Unit) -> Weight:
@@ -52,9 +80,9 @@ def isolated_weight(unit: Unit) -> Weight:
 
 def weigh_units(
     units: list[Unit], promote_light_clusters: bool = False
-) -> list[WeightedUnit]:
+) -> list[TimedUnit]:
     """The units with their isolated weight t and their weight v when
-    chanted in sequence.
+    chanted in sequence, at pitch 0.
 
     A light unit turns heavy in sequence when its coda plus the next
     unit's onset form a cluster of two or more consonants.  A cluster
@@ -73,7 +101,7 @@ def weigh_units(
                 v = Weight.GURU if promote_light_clusters else Weight.LAGHU
             elif len(cluster) >= 2:
                 v = Weight.GURU
-        weighted.append(WeightedUnit(unit, t, v))
+        weighted.append(TimedUnit(unit, t, v))
     return weighted
 
 
@@ -252,16 +280,11 @@ def classify_metre(
 
 @dataclass(frozen=True)
 class VerseAnalysis:
-    """Weighed quarters plus the metre they fit (None when unmatched)."""
+    """Weighed quarters, pitched by the metre they fit; the metre is
+    None and every pitch 0 when unmatched."""
 
-    quarters: tuple[tuple[WeightedUnit, ...], ...]
+    quarters: tuple[tuple[TimedUnit, ...], ...]
     metre: MetreRecord | None
-
-    def pitches(self, quarter: int) -> tuple[int, ...]:
-        """Semitone offsets for the quarter's units, flat without a metre."""
-        if self.metre is None:
-            return (0,) * len(self.quarters[quarter])
-        return self.metre.pitch_array(quarter)
 
     def caesuras(self, quarter: int) -> tuple[int, ...]:
         """1-based rest positions; just the quarter end without a metre."""
@@ -280,7 +303,7 @@ def _slice_by_counts(units: list[Unit], counts) -> list[list[Unit]]:
 
 
 def _patterns(quarters) -> list[str]:
-    return [pattern_string([wu.contextual for wu in quarter]) for quarter in quarters]
+    return [pattern_string([tu.contextual for tu in quarter]) for quarter in quarters]
 
 
 def _cuts(weighted, quarter_units, db, promote):
@@ -310,7 +333,8 @@ def analyze_quarters(
     syllable counts of each record whose total matches, and each cut
     is checked against its own record, in file order.  With
     ``require_metre`` off an unmatched verse is kept chunk-per-quarter
-    with no metre.
+    with no metre.  A matched verse's units are pitched from the
+    metre's rows; an unmatched one keeps pitch 0.
     """
     weighted = [weigh_units(units, promote_light_clusters) for units in quarter_units]
     cuts = _cuts(weighted, quarter_units, db, promote_light_clusters)
@@ -319,7 +343,15 @@ def analyze_quarters(
             metre = classify_metre(_patterns(quarters), records)
         except NoMatchingMetre:
             continue
-        return VerseAnalysis(tuple(tuple(q) for q in quarters), metre)
+        pitched = tuple(
+            tuple(
+                # a unit at the base note keeps the record the weighing made
+                TimedUnit(tu.unit, tu.isolated, tu.contextual, pitch) if pitch else tu
+                for tu, pitch in zip(units, metre.pitch_array(q))
+            )
+            for q, units in enumerate(quarters)
+        )
+        return VerseAnalysis(pitched, metre)
 
     if require_metre:
         patterns = _patterns(weighted) if len(weighted) == 4 else None

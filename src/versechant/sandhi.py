@@ -22,21 +22,18 @@ __all__ = [
 def correct_hn(stream: LetterStream) -> LetterStream:
     """Swap h + n to n + h within a word (vahni is spoken vanhi)."""
     letters = list(stream.letters)
-    changed = True
-    while changed:  # repeat so the pass is a fixed point
-        changed = False
-        i = 0
-        while i < len(letters) - 1:
-            if (
-                letters[i].text == "h"
-                and letters[i + 1].text == "n"
-                and (i + 1) not in stream.word_breaks
-            ):
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-                changed = True
-                i += 2
-            else:
-                i += 1
+    # right to left, so each h moves past every n that follows it in its
+    # word and a second pass finds nothing left to change
+    for i in reversed(range(len(letters) - 1)):
+        j = i
+        while (
+            letters[j].text == "h"
+            and j + 1 < len(letters)
+            and letters[j + 1].text == "n"
+            and (j + 1) not in stream.word_breaks
+        ):
+            letters[j], letters[j + 1] = letters[j + 1], letters[j]
+            j += 1
     return LetterStream(tuple(letters), stream.word_breaks)
 
 

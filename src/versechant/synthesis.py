@@ -6,12 +6,8 @@ fetch one clip per unit at the pitch the metre's pitch row gives it,
 and concatenate everything on the beat grid with rests at the
 caesuras.  The synthetic voice sings each clip at its pitch; a clip
 from a provider that cannot (recorded takes) is fetched at the base
-note and pitch-shifted by the phase vocoder.
-
-Beat accounting: a unit whose chanted time t falls short of its
-metrical time v gets the difference as trailing silence when it ends
-a word, and is chanted long (stretched clip) when it does not, so
-every quarter fills exactly its expected beats.
+note and pitch-shifted by the phase vocoder.  The plan's quarters hold
+the analysis's own pitched units (``prosody.TimedUnit``).
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from .dsp import (
     write_wav,
 )
 from .errors import ChantError, ConfigError, EmptyVerse
-from .prosody import VerseAnalysis, Weight, analyze_quarters, load_metre_db
+from .prosody import TimedUnit, VerseAnalysis, Weight, analyze_quarters, load_metre_db
 from .sandhi import apply_all
 from .transliteration import detect_devanagari, devanagari_to_latin, split_quarters, tokenize
 from .units import Unit, split_into_units
@@ -61,43 +57,14 @@ class Config:
 
     def __post_init__(self):
         beat, rate, freq = self.beat_seconds, self.sample_rate, self.base_freq
-        if not (math.isfinite(beat) and beat > 0):
-            raise ConfigError(f"beat must be a positive number of seconds, got {beat}")
+        if not (isinstance(beat, numbers.Real) and math.isfinite(beat) and beat > 0):
+            raise ConfigError(f"beat must be a positive number of seconds, got {beat!r}")
         if not (isinstance(rate, numbers.Integral) and rate > 0):
             raise ConfigError(f"sample rate must be a positive whole number, got {rate}")
         check_base_freq(freq, rate)
         if self.crossfade and beat * rate < crossfade_frames(rate):
             # each join would eat more than a whole one-beat piece
             raise ConfigError(f"a beat of {beat} s is shorter than the 5 ms crossfade")
-
-
-@dataclass(frozen=True)
-class TimedUnit:
-    """A unit scheduled on the beat grid.
-
-    ``isolated`` (t) and ``contextual`` (v) are the unit's weights;
-    the unit is chanted for ``render_beats`` and followed by
-    ``trailing_silence_beats`` of rest, together always v + 1 beats.
-    """
-
-    unit: Unit
-    isolated: Weight
-    contextual: Weight
-    pitch: int
-
-    @property
-    def trailing_silence_beats(self) -> int:
-        """A short-chanted unit (t < v) pads with v - t beats of silence
-        at a word end; mid-word it stretches instead."""
-        t, v = int(self.isolated), int(self.contextual)
-        return v - t if t < v and self.unit.word_final else 0
-
-    @property
-    def render_beats(self) -> int:
-        """Beats the unit is chanted for: what its trailing silence
-        leaves of max(t, v) + 1."""
-        t, v = int(self.isolated), int(self.contextual)
-        return max(t, v) + 1 - self.trailing_silence_beats
 
 
 @dataclass(frozen=True)
@@ -211,14 +178,11 @@ def prepare(text: str, config: Config | None = None) -> VersePlan:
             require_metre=config.require_metre,
         )
 
-    plans = []
-    for q, weighted in enumerate(analysis.quarters):
-        timed = tuple(
-            TimedUnit(wu.unit, wu.isolated, wu.contextual, pitch)
-            for wu, pitch in zip(weighted, analysis.pitches(q))
-        )
-        plans.append(QuarterPlan(timed, analysis.caesuras(q)))
-    return VersePlan(analysis, tuple(plans))
+    plans = tuple(
+        QuarterPlan(timed, analysis.caesuras(q))
+        for q, timed in enumerate(analysis.quarters)
+    )
+    return VersePlan(analysis, plans)
 
 
 def synthesize(

@@ -99,6 +99,10 @@ def test_synth_clip_rejects_aliasing_base_freq():
     # under rate/8, but a +4 shift would lift the 4th harmonic to 4989 Hz
     with pytest.raises(ConfigError, match="base frequency"):
         SyntheticVoice(990.0, 8000).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
+    # a base frequency that is not a number is a ConfigError, not a TypeError
+    for bad in ("220", None):
+        with pytest.raises(ConfigError, match="base frequency"):
+            SyntheticVoice(bad, 8000)
 
 
 def test_top_harmonic_at_top_pitch_stays_below_nyquist():
@@ -165,6 +169,9 @@ def test_synth_clip_needs_vowel():
 def test_request_validation():
     with pytest.raises(ValueError):
         ClipRequest("van", Weight.LAGHU, 0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="beat_seconds"):
+            ClipRequest("va", Weight.LAGHU, bad)
     for bad in (PITCH_MIN - 1, PITCH_MAX + 1, 1.5):
         with pytest.raises(ValueError, match="pitch"):
             ClipRequest("van", Weight.LAGHU, 0.5, bad)
@@ -450,6 +457,21 @@ def test_bad_wav_in_directory(tmp_path):
     store = ClipDirectory(tmp_path)
     with pytest.raises(BadWav):
         store.get_clip(ClipRequest("ha", Weight.LAGHU, 0.5))
+
+
+def test_clip_directory_rejects_two_files_for_one_take(tmp_path):
+    clip = sine_clip(440, 0.1)
+    # alias spellings and letter case normalize to one (unit, weight) key
+    for first, second in [("ṛa_l.wav", "r̥a_l.wav"), ("ra_l.wav", "RA_l.wav")]:
+        directory = tmp_path / first
+        directory.mkdir()
+        _write_clip(directory, first, clip)
+        _write_clip(directory, "g.wav", clip)  # no unit text: not a take
+        assert len(ClipDirectory(directory)) == 1
+        _write_clip(directory, second, clip)
+        with pytest.raises(ConfigError) as info:
+            ClipDirectory(directory)
+        assert first in str(info.value) and second in str(info.value)
 
 
 def test_alias_spelling_in_filename(tmp_path):

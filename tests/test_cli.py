@@ -166,6 +166,24 @@ def test_clips_flag(tmp_path):
     assert clip.n_frames == int((2 + 2 + 1) * 0.5 * 44100)
 
 
+def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
+    from versechant.audio_store import ClipRequest, SyntheticVoice
+    from versechant.dsp import write_wav
+    from versechant.prosody import Weight
+
+    clip = SyntheticVoice().get_clip(ClipRequest("van", Weight.GURU, 0.5))
+    for name in ("van_g.wav", "VAN_g.wav"):
+        write_wav(clip, tmp_path / name)
+    code, out, err = run_cli(
+        ["synth", "vande", str(tmp_path / "out.wav"), "--clips", str(tmp_path),
+         "--no-require-metre"]
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: clip files VAN_g.wav and van_g.wav")
+    assert not (tmp_path / "out.wav").exists()
+
+
 @pytest.mark.parametrize(
     "argv, code, fragment",
     [

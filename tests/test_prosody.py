@@ -35,6 +35,10 @@ def units_of(text: str):
     return split_into_units(apply_all(tokenize(text)))
 
 
+def pitches(analysis) -> list[tuple[int, ...]]:
+    return [tuple(tu.pitch for tu in quarter) for quarter in analysis.quarters]
+
+
 def contextual(units, promote_light_clusters: bool = False) -> list[Weight]:
     return [wu.contextual for wu in weigh_units(units, promote_light_clusters)]
 
@@ -251,8 +255,8 @@ def test_analyze_four_chunks():
     analysis = analyze_quarters(quarter_units(SAMPLE_VERSE), load_metre_db())
     assert analysis.metre.name == "Upajāti"
     assert tuple(len(q) for q in analysis.quarters) == (11, 11, 11, 11)
-    assert analysis.pitches(0) == VAJRA_Q13
-    assert analysis.pitches(1) == VAJRA_Q24
+    assert pitches(analysis)[0] == VAJRA_Q13
+    assert pitches(analysis)[1] == VAJRA_Q24
     assert analysis.caesuras(0) == (11,)
 
 
@@ -264,6 +268,7 @@ def test_analyze_resegments_unmarked_verse():
     analysis = analyze_quarters(chunks, load_metre_db())
     assert analysis.metre.name == "Upajāti"
     assert tuple(len(q) for q in analysis.quarters) == (11, 11, 11, 11)
+    assert pitches(analysis) == [VAJRA_Q13, VAJRA_Q24] * 2
 
 
 def test_analyze_without_metre():
@@ -272,7 +277,7 @@ def test_analyze_without_metre():
         analyze_quarters(units, load_metre_db())
     analysis = analyze_quarters(units, load_metre_db(), require_metre=False)
     assert analysis.metre is None
-    assert analysis.pitches(0) == (0,) * 5
+    assert pitches(analysis) == [(0,) * 5]
     assert analysis.caesuras(0) == (5,)
 
 
@@ -307,6 +312,7 @@ def test_analyze_recut_first_fitting_record_wins(order, winner):
     assert analysis.metre.name == winner
     counts = {"recut": (3, 1, 3, 1), "counts": (1, 3, 1, 3)}[winner]
     assert tuple(len(q) for q in analysis.quarters) == counts
+    assert pitches(analysis) == [analysis.metre.pitch_array(q) for q in range(4)]
 
 
 def test_analyze_unmatched_error_fields():

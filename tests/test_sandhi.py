@@ -26,6 +26,8 @@ def test_hn_metathesis():
     assert chant_form("vahni") == "vanhi"
     # only within a word
     assert chant_form("saha nata") == "saha nata"
+    # every h moves past every n after it in one pass
+    assert correct_hn(tokenize("ahhnna")).text() == "annhha"
 
 
 def test_hn_fixed_point_on_chains():
@@ -100,6 +102,7 @@ def test_apply_all_idempotent():
 def test_each_pass_idempotent_on_goldens():
     for text, fn in [
         ("vahni", correct_hn),
+        ("ahhnna", correct_hn),
         ("saṃgīta", correct_anusvara),
         ("namaḥ śivāya", correct_visarga_sibilant),
         ("duḥkham", correct_visarga_aspirate),

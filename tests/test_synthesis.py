@@ -95,6 +95,7 @@ def test_prepare_pitches_follow_metre_rows():
     record = plan.analysis.metre
     for q, quarter in enumerate(plan.quarters):
         assert [tu.pitch for tu in quarter.timed] == list(record.pitch_array(q))
+        assert plan.analysis.quarters[q] is quarter.timed
 
 
 def test_prepare_devanagari_autodetect():
@@ -281,6 +282,12 @@ def test_config_is_frozen():
         replace(config, beat_seconds=0)
 
 
+def test_config_rejects_a_beat_that_is_not_a_number():
+    for bad in ("0.5", None):
+        with pytest.raises(ConfigError, match="beat"):
+            Config(beat_seconds=bad)
+
+
 def test_config_rejects_a_fractional_sample_rate():
     # a WAV header holds a whole number of frames per second
     with pytest.raises(ConfigError, match="sample rate"):
@@ -302,6 +309,10 @@ def test_config_rejects_aliasing_base_freq():
     with pytest.raises(ConfigError, match="base frequency"):
         Config(sample_rate=8000, base_freq=990)
     assert Config(sample_rate=8000, base_freq=790).base_freq == 790
+    # a library caller's non-number is a ConfigError, not a TypeError
+    for bad in ("220", None):
+        with pytest.raises(ConfigError, match="base frequency"):
+            Config(base_freq=bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,7 +324,9 @@ def test_beat_grid_slots_and_frames(rng, n_lines):
     text = "\n".join(random_text(rng) for _ in range(n_lines))
     result = synthesize(text, config)
     slots = []
-    for quarter in result.plan.quarters:
+    for q, quarter in enumerate(result.plan.quarters):
+        assert result.plan.analysis.quarters[q] is quarter.timed
+        assert all(tu.pitch == 0 for tu in quarter.timed)
         want = []
         for pos, tu in enumerate(quarter.timed, start=1):
             want.append((tu, tu.render_beats))
