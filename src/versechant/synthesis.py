@@ -22,8 +22,9 @@ from .audio_store import (
     ClipDirectory,
     ClipProvider,
     ClipRequest,
-    SyntheticVoice,
     check_base_freq,
+    check_sample_rate,
+    default_voice,
 )
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
@@ -59,8 +60,7 @@ class Config:
         beat, rate, freq = self.beat_seconds, self.sample_rate, self.base_freq
         if not (isinstance(beat, numbers.Real) and math.isfinite(beat) and beat > 0):
             raise ConfigError(f"beat must be a positive number of seconds, got {beat!r}")
-        if not (isinstance(rate, numbers.Integral) and rate > 0):
-            raise ConfigError(f"sample rate must be a positive whole number, got {rate}")
+        check_sample_rate(rate)
         check_base_freq(freq, rate)
         if self.crossfade and beat * rate < crossfade_frames(rate):
             # each join would eat more than a whole one-beat piece
@@ -197,14 +197,16 @@ def synthesize(
     the metre's pitch, or a rest of silence.  A store that
     ``sings_at_pitch`` is asked for the clip at that pitch; any other is
     asked at pitch 0 and its clip pitch-shifted.  Each distinct clip
-    request goes to the store once per render.
+    request goes to the store once per render.  Without a store or a
+    ``clip_dir``, the store is the process's synthetic voice
+    (``audio_store.default_voice``), whose parts outlive the render.
     """
     config = config if config is not None else Config()
     plan = prepare(text, config)
     if store is None and config.clip_dir is not None:
         store = ClipDirectory(config.clip_dir, config.sample_rate)
     elif store is None:
-        store = SyntheticVoice(config.base_freq, config.sample_rate)
+        store = default_voice(config.base_freq, config.sample_rate)
     beat, rate = config.beat_seconds, config.sample_rate
     xf = crossfade_frames(rate) if config.crossfade else 0
     clips: dict[ClipRequest, AudioClip] = {}

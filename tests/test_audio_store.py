@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import mmap
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,7 @@ from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
 from versechant.transliteration import tokenize
 
-from conftest import CountingVoice, fft_peak_hz, sine_clip
+from conftest import SAMPLE_VERSE, CountingVoice, fft_peak_hz, sine_clip
 
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
@@ -79,7 +83,7 @@ def reference_synth_clip(request: ClipRequest, base_freq: float, rate: int):
     def tone(nucleus, z, rate):
         return reference_vowel_tone(nucleus, len(z), rate, base_freq)
 
-    def burst(letter, z, rate):
+    def burst(letter, noise, z, rate):
         return reference_consonant_burst(letter, len(z), rate, base_freq)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -103,6 +107,19 @@ def test_synth_clip_rejects_aliasing_base_freq():
     for bad in ("220", None):
         with pytest.raises(ConfigError, match="base frequency"):
             SyntheticVoice(bad, 8000)
+
+
+def test_providers_check_the_sample_rate(tmp_path):
+    # one check, the one Config makes: a whole positive number of frames
+    # per second, whatever the provider
+    for bad in (22050.5, -8000, 0, "44100", None):
+        with pytest.raises(ConfigError, match="sample rate"):
+            SyntheticVoice(220.0, bad)
+        with pytest.raises(ConfigError, match="sample rate"):
+            ClipDirectory(tmp_path, bad)
+    rate = np.int64(22050)
+    assert SyntheticVoice(220.0, rate).get_clip(ClipRequest("a", Weight.LAGHU, 0.1)).sample_rate == rate
+    assert ClipDirectory(tmp_path, rate).sample_rate == rate
 
 
 def test_top_harmonic_at_top_pitch_stays_below_nyquist():
@@ -211,7 +228,8 @@ def test_voice_matches_reference(pre, nucleus, post, weight, n, rate, base_share
     assert len(got) == n
     np.testing.assert_allclose(got, reference_vowel_tone(vowel, n, rate, base), rtol=0, atol=1e-9)
     for letter in tokenize("".join(pre + post) or "y").letters:
-        got = audio_store._consonant_burst(letter, z, rate)
+        noise = audio_store._burst_noise(letter, n, rate)
+        got = audio_store._consonant_burst(letter, noise, z, rate)
         want = reference_consonant_burst(letter, n, rate, base)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     # the whole clip, at about n frames
@@ -299,22 +317,24 @@ def test_reused_voice_equals_fresh_voice(reqs, rate, base_share):
         got = voice.get_clip(request).samples
         want = SyntheticVoice(base, rate).get_clip(request).samples
         assert np.array_equal(got, want)
-    # a burst is at most one 60 ms segment plus a frame or two (clusters
-    # here have at most four consonants), and nothing kept is writable
+    # a burst or its noise is at most one 60 ms segment plus a frame or
+    # two (clusters here have at most four consonants), and nothing kept
+    # is writable
     seg = int(round(0.06 * rate))
-    for burst in voice._bursts.values():
-        assert len(burst) <= seg + 2
-        assert not burst.flags.writeable
-    # one read-only table per pitch sung, none for a pitch not asked for
-    assert set(voice._tables) <= {request.pitch for request in reqs}
-    for table in voice._tables.values():
-        assert not table.flags.writeable
+    kept = voice._parts._kept
+    for key, part in kept.items():
+        assert not part.flags.writeable
+        if key[0] != "table":
+            assert len(part) <= seg + 2
+    # one table per pitch sung, none for a pitch not asked for
+    tables = {key[1] for key in kept if key[0] == "table"}
+    assert tables <= {request.pitch for request in reqs}
 
 
 def test_voice_renders_each_burst_once(monkeypatch):
     made = []
 
-    def burst(letter, z, rate):
+    def burst(letter, noise, z, rate):
         made.append((letter.text, len(z)))
         return np.zeros(len(z))
 
@@ -330,7 +350,7 @@ def test_voice_keys_voiced_bursts_by_pitch(monkeypatch):
     # mixes in the fundamental, so it is built once per pitch, at it
     made = []
 
-    def burst(letter, z, rate):
+    def burst(letter, noise, z, rate):
         made.append((letter.text, np.angle(z[1]) * rate / (2 * np.pi)))
         return np.zeros(len(z))
 
@@ -342,6 +362,40 @@ def test_voice_keys_voiced_bursts_by_pitch(monkeypatch):
     assert [text for text, _ in made].count("k") == 1
     nasal = [freq for text, freq in made if text == "n"]
     np.testing.assert_allclose(nasal, [base * 2.0 ** (p / 12) for p in (-7, 0, 4)], rtol=1e-9)
+
+
+def test_voice_builds_burst_noise_once_per_length(monkeypatch):
+    # the noise is the costly part of a burst and ignores the pitch: a
+    # nasal sung at three pitches and two lengths filters its noise once
+    # per length, and only mixes its sine in per pitch
+    noises, mixes = [], []
+    noise, burst = audio_store._burst_noise, audio_store._consonant_burst
+
+    def counted_noise(letter, n, rate):
+        noises.append((letter.text, n))
+        return noise(letter, n, rate)
+
+    def counted_burst(letter, noise, z, rate):
+        mixes.append((letter.text, len(z)))
+        return burst(letter, noise, z, rate)
+
+    monkeypatch.setattr(audio_store, "_burst_noise", counted_noise)
+    monkeypatch.setattr(audio_store, "_consonant_burst", counted_burst)
+    voice = SyntheticVoice()
+    requests = [
+        ClipRequest("kan", Weight.LAGHU, beat, pitch)
+        for beat in (0.5, 0.05)
+        for pitch in (-7, 0, 4, 0, -7)
+    ]
+    clips = [voice.get_clip(request).samples for request in requests]
+    lengths = sorted({n for _, n in noises})
+    assert len(lengths) == 2
+    assert sorted(noises) == [(text, n) for text in ("k", "n") for n in lengths]
+    assert sorted(mixes) == sorted([("k", n) for n in lengths] + [("n", n) for n in lengths] * 3)
+    # and the clips are a fresh voice's
+    monkeypatch.undo()
+    for request, got in zip(requests, clips):
+        assert np.array_equal(got, SyntheticVoice().get_clip(request).samples)
 
 
 def test_envelope_leaves_the_middle_untouched():
@@ -369,6 +423,122 @@ def test_render_fetches_each_clip_once():
     ]
     assert len(needed) > len(set(needed))  # the text repeats a unit
     assert sorted(voice.requests, key=repr) == sorted(set(needed), key=repr)
+
+
+# ---------------------------------------------------------------------------
+# The process's voice: synthesize without a store renders with one voice,
+# whose parts outlive the render within a byte budget
+
+def metre_db(path, q13, q24):
+    """A one-record metre database for the sample verse (11 syllables a
+    quarter) with the given pitch rows."""
+    path.write_text(
+        "name: test\nsyllables: 11 11 11 11\ncaesura: 11\n"
+        f"pitch_q13: {' '.join(map(str, q13))}\npitch_q24: {' '.join(map(str, q24))}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def fresh_render(config):
+    voice = SyntheticVoice(config.base_freq, config.sample_rate)
+    return synthesize(SAMPLE_VERSE, config, store=voice).clip.samples
+
+
+def test_parts_evict_the_least_recently_used_pages():
+    page = mmap.PAGESIZE
+    parts = audio_store._Parts(3 * page)
+    part = np.arange(page // 8, dtype=np.float64)
+    a = parts.put(("a",), part)
+    # a read-only copy, in pages of its own
+    assert np.array_equal(a, part) and a is not part and not a.flags.writeable
+    parts.put(("b",), np.zeros(1))  # 8 bytes take a whole page
+    parts.get(("a",))  # a is now more recent than b
+    parts.put(("c",), np.zeros(page // 8))
+    parts.put(("d",), np.zeros(1))
+    assert list(parts._kept) == [("a",), ("c",), ("d",)] and parts.nbytes == 3 * page
+    # growing a part replaces it, counted once
+    parts.put(("a",), np.zeros(page // 8 + 1))
+    assert list(parts._kept) == [("d",), ("a",)] and parts.nbytes == 3 * page
+    # a part over the whole budget is handed back, not kept
+    big = parts.put(("e",), np.zeros(3 * page // 8 + 1))
+    assert len(big) == 3 * page // 8 + 1 and not parts._kept and parts.nbytes == 0
+
+
+def test_default_voice_keeps_its_parts_within_the_budget(tmp_path, monkeypatch):
+    # the budget is stated where the parts are described
+    assert audio_store.PARTS_BUDGET == 8 * 2**20
+    assert "PARTS_BUDGET, 8 MiB" in " ".join(audio_store.__doc__.split())
+    built = []
+    put = audio_store._Parts.put
+    monkeypatch.setattr(
+        audio_store._Parts, "put", lambda self, key, part: built.append((key, part.nbytes)) or put(self, key, part)
+    )
+    # every pitch in PITCH_MIN..PITCH_MAX, at beats up to a second, so the
+    # tables alone outgrow the budget
+    db = metre_db(tmp_path / "all.txt", [-7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3], [4, 0, -1, 1, -2, 2, 0, 3, -3, 4, 0])
+    for beat in (0.25, 1.0, 0.5):
+        synthesize(SAMPLE_VERSE, Config(beat_seconds=beat, metre_db_path=db))
+    voice = audio_store.default_voice(220.0, 44100)
+    kept = voice._parts._kept
+    assert {key[1] for key, _ in built if key[0] == "table"} == set(range(PITCH_MIN, PITCH_MAX + 1))
+    assert sum(nbytes for _, nbytes in built) > audio_store.PARTS_BUDGET >= voice._parts.nbytes
+    assert voice._parts.nbytes == sum(map(audio_store._footprint, kept.values()))
+    assert not any(part.flags.writeable for part in kept.values())
+
+
+def test_second_render_builds_no_parts(monkeypatch):
+    synthesize(SAMPLE_VERSE)
+    built = []
+    for name in ("_phasor", "_burst_noise", "_consonant_burst"):
+        kernel = getattr(audio_store, name)
+        monkeypatch.setattr(audio_store, name, lambda *a, k=kernel, n=name: built.append(n) or k(*a))
+    again = synthesize(SAMPLE_VERSE).clip.samples
+    assert built == []
+    assert np.array_equal(again, fresh_render(Config()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    renders=st.lists(
+        st.tuples(
+            st.floats(0.01, 0.3),
+            st.lists(st.integers(PITCH_MIN, PITCH_MAX), min_size=22, max_size=22),
+            st.sampled_from([196.0, 220.0]),
+            st.sampled_from([22050, 44100]),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_default_voice_equals_fresh_voice_across_renders(tmp_path_factory, renders):
+    # renders through the process's voice, interleaved across beats,
+    # pitches, base frequencies and rates, equal a fresh voice's
+    db = tmp_path_factory.mktemp("metre") / "db.txt"
+    for beat, pitches, base, rate in renders:
+        metre_db(db, pitches[:11], pitches[11:])
+        config = Config(beat_seconds=beat, base_freq=base, sample_rate=rate, metre_db_path=db)
+        assert np.array_equal(synthesize(SAMPLE_VERSE, config).clip.samples, fresh_render(config))
+
+
+def test_threads_render_with_one_voice():
+    # four renders at once, two pairs asking for the same parts, from a
+    # voice no render has used yet; a short switch interval makes the
+    # threads interleave inside the parts' bookkeeping
+    configs = [Config(beat_seconds=beat, base_freq=207.0) for beat in (0.1, 0.1, 0.2, 0.2)]
+    audio_store.default_voice.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda config: synthesize(SAMPLE_VERSE, config).clip.samples, configs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for config, samples in zip(configs, got):
+        assert np.array_equal(samples, fresh_render(config))
+    # no update to the kept pages was lost
+    parts = audio_store.default_voice(207.0, 44100)._parts
+    assert parts.nbytes == sum(map(audio_store._footprint, parts._kept.values())) > 0
 
 
 # ---------------------------------------------------------------------------
