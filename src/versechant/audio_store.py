@@ -83,10 +83,17 @@ _BLOCK = 256
 PARTS_BUDGET = 8 * 2**20
 
 
+def is_number(value, kind: type = numbers.Real) -> bool:
+    """True when value is a number of ``kind`` (``numbers.Real`` or
+    ``numbers.Integral``).  A bool is a number to Python, but never a
+    setting's value: ``True`` is no one-second beat."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_sample_rate(sample_rate: int) -> None:
     """Raise ConfigError unless the sample rate is a positive whole
     number of frames per second."""
-    if not (isinstance(sample_rate, numbers.Integral) and sample_rate > 0):
+    if not (is_number(sample_rate, numbers.Integral) and sample_rate > 0):
         raise ConfigError(
             f"sample rate must be a positive whole number, got {sample_rate!r}"
         )
@@ -97,7 +104,7 @@ def check_base_freq(base_freq: float, sample_rate: int) -> None:
     rate / 2, so the top harmonic stays below Nyquist at the highest
     pitch the metre can ask for (NaN, infinity and non-numbers fail too)."""
     top = sample_rate / (2 * HARMONICS * 2.0 ** (PITCH_MAX / 12))
-    if not (isinstance(base_freq, numbers.Real) and 0 < base_freq < top):
+    if not (is_number(base_freq) and 0 < base_freq < top):
         raise ConfigError(f"base frequency must lie in (0, {top:g}), got {base_freq!r}")
 
 
@@ -109,11 +116,12 @@ class ClipRequest:
     pitch: int = 0  # semitones above the base note
 
     def __post_init__(self):
-        if not (math.isfinite(self.beat_seconds) and self.beat_seconds > 0):
+        beat, pitch = self.beat_seconds, self.pitch
+        if not (is_number(beat) and math.isfinite(beat) and beat > 0):
             raise ValueError("beat_seconds must be positive and finite")
-        if self.pitch != int(self.pitch) or not PITCH_MIN <= self.pitch <= PITCH_MAX:
+        if not (is_number(pitch) and PITCH_MIN <= pitch <= PITCH_MAX and pitch == int(pitch)):
             raise ValueError(
-                f"pitch {self.pitch} is not a whole number in {PITCH_MIN}..{PITCH_MAX}"
+                f"pitch {pitch} is not a whole number in {PITCH_MIN}..{PITCH_MAX}"
             )
 
     def n_frames(self, sample_rate: int) -> int:

@@ -5,11 +5,21 @@ shifting preserves duration exactly: the clip is resampled by the
 semitone ratio and then phase-vocoder stretched back to its original
 frame count.  Time stretching preserves pitch.
 
+Joins stay in int16: ``concat`` copies each clip's samples into one
+int16 buffer and computes in float only over the crossfade overlaps,
+so its peak is the output itself plus a few overlaps.
+
 The phase vocoder keeps each bin's phase as a unit phasor, X / |X|,
 never as an angle.  An output frame's phasor is the previous one times
 the bin's phase step between the two input frames it reads, and one
-running product over time yields every frame at once, so stretching
-needs no trigonometry, no phase unwrapping and no loop over frames.
+running product over time yields a block of frames at once, so
+stretching needs no trigonometry, no phase unwrapping and no loop over
+single frames.  It works on blocks of ``_BLOCK_FRAMES`` (16) output
+frames, about 260 KB per complex [block, bins] array at 2048-point
+FFTs, so its working set does not grow with the take.  Stretching a
+take 10% long, its peak grows by about 26 bytes per output frame: the
+float input, its padded copy and the float output (tests hold it to
+48).
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ PITCH_MIN = -7
 PITCH_MAX = 4
 
 _MAX_NFFT = 2048
+# output frames the phase vocoder works on at once: with 1025 bins, about
+# 260 KB per complex [block, bins] array
+_BLOCK_FRAMES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +101,14 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     ``crossfade`` frames (less when a clip is shorter than the fade).
     All clips must share one sample rate.
 
-    Runs in linear time over a single buffer: each clip is written once
-    at a running offset and only the overlap frames of a join are faded
-    in place, so a fade may re-fade frames an earlier join wrote.
+    Runs in linear time over one int16 buffer of exactly the joined
+    length: each clip's samples are copied into it once, and only a
+    join's overlap frames are computed in float and quantized.  The
+    float values of the last ``crossfade`` merged frames are carried
+    from join to join, so a fade that reaches back across a clip
+    shorter than two crossfades re-fades the values an earlier fade
+    made, not their int16 roundings.  A frame outside every overlap is
+    its own sample, as x / 32768 * 32768 is exact.
     """
     if not clips:
         return AudioClip(np.zeros(0, dtype=np.int16), DEFAULT_SAMPLE_RATE)
@@ -101,27 +119,30 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     if crossfade <= 0:
         return AudioClip(np.concatenate([c.samples for c in clips]), rate)
 
-    buf = np.empty(sum(c.n_frames for c in clips))
+    overlaps, total = [], 0
+    for clip in clips:
+        overlaps.append(min(crossfade, total, clip.n_frames))
+        total += clip.n_frames - overlaps[-1]
+    out = np.empty(total, dtype=np.int16)
     fades: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     end = 0  # frames merged so far
-    for clip in clips:
+    carry = np.zeros(0)  # float values of out[end - len(carry) : end]
+    for clip, xf in zip(clips, overlaps):
         nxt = clip.samples
-        xf = min(crossfade, end, len(nxt))
+        out[end : end + len(nxt) - xf] = nxt[xf:]
+        faded = carry[len(carry) - xf :]
         if xf:
             if xf not in fades:
                 t = (np.arange(xf) + 0.5) / xf
                 fades[xf] = (np.cos(t * np.pi / 2), np.sin(t * np.pi / 2))
             fade_out, fade_in = fades[xf]
-            tail = buf[end - xf : end]
-            tail *= fade_out
-            tail += (nxt[:xf] / 32768.0) * fade_in
-        np.divide(nxt[xf:], 32768.0, out=buf[end : end + len(nxt) - xf])
+            faded = faded * fade_out
+            faded += (nxt[:xf] / 32768.0) * fade_in
+            out[end - xf : end] = _to_int16(faded)
         end += len(nxt) - xf
-    merged = buf[:end]
-    np.multiply(merged, 32768.0, out=merged)
-    np.rint(merged, out=merged)
-    np.clip(merged, -32768, 32767, out=merged)
-    return AudioClip(merged.astype(np.int16), rate)
+        tail = nxt[max(xf, len(nxt) - crossfade) :] / 32768.0
+        carry = np.concatenate([carry[: len(carry) - xf], faded, tail])[-crossfade:]
+    return AudioClip(out, rate)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -152,28 +173,23 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    frames = sliding_window_view(np.pad(x, n_fft // 2), n_fft)[::hop]
-    return np.fft.rfft(frames * window, axis=1)  # [frames, bins]
-
-
-def _istft(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    """Overlap-add the inverse frames of ``spec`` [frames, bins]: with
-    hop = n_fft / 4, four block adds, one per frame quarter, cover every
-    frame.  Quarters go in last-first, as a loop over frames adds them."""
-    n_frames = spec.shape[0]
-    quarters = n_fft // hop
-    frames = np.fft.irfft(spec, n=n_fft, axis=1)
-    frames *= window
-    frames = frames.reshape(n_frames, quarters, hop)
+def _window_sums(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+    """Squared-window sums [n_frames - 1 + quarters, hop] that the
+    overlap-add of n_frames frames divides by, floored at 1e-8."""
+    quarters = len(window) // hop
     wsq = (window * window).reshape(quarters, hop)
-    y = np.zeros((n_frames - 1 + quarters, hop))
-    wsum = np.zeros_like(y)
+    wsum = np.zeros((n_frames - 1 + quarters, hop))
     for q in reversed(range(quarters)):
-        y[q : q + n_frames] += frames[:, q]
         wsum[q : q + n_frames] += wsq[q]
-    y /= np.maximum(wsum, 1e-8, out=wsum)
-    return y.reshape(-1)[n_fft // 2 :]  # undo the center padding
+    return np.maximum(wsum, 1e-8, out=wsum)
+
+
+def _keep_rows(rows: np.ndarray, keep: int, n_new: int) -> np.ndarray:
+    """A new array of keep + n_new rows that starts with the last keep
+    rows of ``rows``; the n_new after them are left for the caller."""
+    out = np.empty((keep + n_new, rows.shape[1]), dtype=rows.dtype)
+    out[:keep] = rows[len(rows) - keep :]
+    return out
 
 
 def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
@@ -183,6 +199,14 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     magnitude is interpolated between input frames i and i + 1.  Its
     phasor is output frame t - 1's times the phase step between the two
     input frames that frame t - 1 read; frame 0 takes input frame 0's.
+
+    Output frames go through in blocks of ``_BLOCK_FRAMES``: each block
+    transforms the input frames it reads (carrying over the at most two
+    the previous block read too), accumulates its phasors from the
+    previous block's last one, and overlap-adds its inverse frames into
+    the output, hop-sized row by row, in frame order.  So the working
+    set is a few [block, bins] arrays whatever the input's length; what
+    grows with it is the padded input and the float output.
     """
     n_in = len(x)
     if n_out == n_in:
@@ -197,9 +221,10 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
 
     n_fft = min(_MAX_NFFT, 1 << (n_in.bit_length() - 1))
     hop = n_fft // 4
+    quarters = n_fft // hop
     window = _periodic_hann(n_fft)
-    spec = _stft(x, n_fft, hop, window)
-    t_in = spec.shape[0]
+    frames = sliding_window_view(np.pad(x, n_fft // 2), n_fft)[::hop]
+    t_in = len(frames)
 
     t_out = max(2, int(round(n_out / hop)) + 1)
     steps = np.linspace(0.0, t_in - 1.0, t_out)
@@ -208,27 +233,65 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     # only the last step reaches the last frame, and with frac 0
     i_next = np.minimum(i + 1, t_in - 1)
 
-    mags = np.abs(spec)
-    silent = mags == 0
-    phasors = np.divide(spec, mags, out=spec, where=~silent)
-    phasors[silent] = 1  # phase 0, as np.angle(0) gives
-    step = phasors[:-1].conj()
-    step *= phasors[1:]  # step[i]: phase step from input frame i to i + 1
+    # row j of y sums quarter q (hop frames) of output frame j - q, q < 4;
+    # quarters go in last-first, so a row takes its frames in order,
+    # block after block, as one loop over all frames would add them
+    y = np.zeros((t_out - 1 + quarters, hop))
+    mags = np.zeros((0, n_fft // 2 + 1))
+    phasors = mags.astype(complex)
+    done = 0  # input frames transformed so far; the rows held end there
+    t0 = 0
+    while t0 < t_out:
+        # a lone last frame joins the block before it: numpy accumulates
+        # two rows with another multiply loop, one that can round the
+        # last bit differently
+        t1 = t_out if t_out - t0 <= _BLOCK_FRAMES + 1 else t0 + _BLOCK_FRAMES
+        s0 = max(t0 - 1, 0)  # the frame whose phasor the block starts from
+        # rows for input frames lo .. i_next[t1 - 1], all the block reads
+        lo = i[s0]
+        keep = done - lo
+        spec = np.fft.rfft(frames[done : i_next[t1 - 1] + 1] * window, axis=1)
+        done += len(spec)
+        mags = _keep_rows(mags, keep, len(spec))
+        np.abs(spec, out=mags[keep:])
+        phasors = _keep_rows(phasors, keep, len(spec))
+        silent = mags[keep:] == 0
+        np.divide(spec, mags[keep:], out=phasors[keep:], where=~silent)
+        phasors[keep:][silent] = 1  # phase 0, as np.angle(0) gives
+        step = phasors[:-1].conj()
+        step *= phasors[1:]  # step[k]: phase step from input frame lo + k on
 
-    out = np.empty((t_out, spec.shape[1]), dtype=complex)
-    out[0] = phasors[0]
-    # mode="clip" lets take write straight into out (i stays in range)
-    np.take(step, i[:-1], axis=0, out=out[1:], mode="clip")
-    np.multiply.accumulate(out, axis=0, out=out)
-    mag = mags[i]
-    mag *= 1.0 - frac
-    mag += frac * mags[i_next]
-    out *= mag
+        # rows for output frames s0 .. t1 - 1; row 0 is the running phasor,
+        # so one accumulate continues the previous block's bit for bit
+        out = np.empty((t1 - s0, mags.shape[1]), dtype=complex)
+        out[0] = phasor if t0 else phasors[0]
+        # mode="clip" lets take write straight into out (i stays in range)
+        np.take(step, i[s0 : t1 - 1] - lo, axis=0, out=out[1:], mode="clip")
+        np.multiply.accumulate(out, axis=0, out=out)
+        phasor = out[-1].copy()
+        out = out[t0 - s0 :]
+        mag = mags[i[t0:t1] - lo]
+        mag *= 1.0 - frac[t0:t1]
+        mag += frac[t0:t1] * mags[i_next[t0:t1] - lo]
+        out *= mag
 
-    y = _istft(out, n_fft, hop, window)
-    if len(y) < n_out:
-        y = np.pad(y, (0, n_out - len(y)))
-    return y[:n_out]
+        block = np.fft.irfft(out, n=n_fft, axis=1)
+        block *= window
+        block = block.reshape(t1 - t0, quarters, hop)
+        for q in reversed(range(quarters)):
+            y[t0 + q : t1 + q] += block[:, q]
+        t0 = t1
+
+    # every row from quarters - 1 up to t_out holds all four quarters, so
+    # shares one sum; a sum table of a few frames gives the edge rows
+    n_sum = min(t_out, 2 * quarters - 1)
+    wsum = _window_sums(window, hop, n_sum)
+    head = min(quarters - 1, t_out)
+    y[:head] /= wsum[:head]
+    y[head:t_out] /= wsum[head]
+    y[t_out:] /= wsum[n_sum:]
+    # undo the center padding; the rows reach past n_out by at least a hop
+    return y.reshape(-1)[n_fft // 2 : n_fft // 2 + n_out]
 
 
 def stretch_to_length(clip: AudioClip, n_frames: int) -> AudioClip:

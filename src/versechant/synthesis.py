@@ -13,7 +13,6 @@ the analysis's own pitched units (``prosody.TimedUnit``).
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ from .audio_store import (
     check_base_freq,
     check_sample_rate,
     default_voice,
+    is_number,
 )
 from .dsp import (
     DEFAULT_SAMPLE_RATE,
@@ -58,7 +58,7 @@ class Config:
 
     def __post_init__(self):
         beat, rate, freq = self.beat_seconds, self.sample_rate, self.base_freq
-        if not (isinstance(beat, numbers.Real) and math.isfinite(beat) and beat > 0):
+        if not (is_number(beat) and math.isfinite(beat) and beat > 0):
             raise ConfigError(f"beat must be a positive number of seconds, got {beat!r}")
         check_sample_rate(rate)
         check_base_freq(freq, rate)

@@ -104,7 +104,7 @@ def test_synth_clip_rejects_aliasing_base_freq():
     with pytest.raises(ConfigError, match="base frequency"):
         SyntheticVoice(990.0, 8000).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
     # a base frequency that is not a number is a ConfigError, not a TypeError
-    for bad in ("220", None):
+    for bad in ("220", None, True):
         with pytest.raises(ConfigError, match="base frequency"):
             SyntheticVoice(bad, 8000)
 
@@ -112,7 +112,7 @@ def test_synth_clip_rejects_aliasing_base_freq():
 def test_providers_check_the_sample_rate(tmp_path):
     # one check, the one Config makes: a whole positive number of frames
     # per second, whatever the provider
-    for bad in (22050.5, -8000, 0, "44100", None):
+    for bad in (22050.5, -8000, 0, "44100", None, True):
         with pytest.raises(ConfigError, match="sample rate"):
             SyntheticVoice(220.0, bad)
         with pytest.raises(ConfigError, match="sample rate"):
@@ -186,13 +186,15 @@ def test_synth_clip_needs_vowel():
 def test_request_validation():
     with pytest.raises(ValueError):
         ClipRequest("van", Weight.LAGHU, 0.0)
-    for bad in (float("inf"), float("nan")):
+    # a bool is a number to Python, but no beat length or pitch
+    for bad in (float("inf"), float("nan"), True, "0.5"):
         with pytest.raises(ValueError, match="beat_seconds"):
             ClipRequest("va", Weight.LAGHU, bad)
-    for bad in (PITCH_MIN - 1, PITCH_MAX + 1, 1.5):
+    for bad in (PITCH_MIN - 1, PITCH_MAX + 1, 1.5, True, float("nan"), "1"):
         with pytest.raises(ValueError, match="pitch"):
             ClipRequest("van", Weight.LAGHU, 0.5, bad)
     assert ClipRequest("van", Weight.LAGHU, 0.5).pitch == 0
+    assert ClipRequest("van", Weight.LAGHU, 0.5, np.int64(-7)).pitch == -7
 
 
 VOWELS = ["a", "ā", "i", "ī", "u", "ū", "ṛ", "e", "ai", "o", "au"]

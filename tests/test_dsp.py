@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import wave
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from versechant.dsp import (
+    _BLOCK_FRAMES,
     PITCH_MAX,
     PITCH_MIN,
     AudioClip,
+    _stretch_signal,
     concat,
     crossfade_frames,
     pitch_shift,
@@ -96,15 +100,77 @@ def reference_stretch(x: np.ndarray, n_out: int) -> np.ndarray:
     return y[:n_out]
 
 
-def reference_pitch_shift(samples: np.ndarray, semitones: int) -> np.ndarray:
-    """pitch_shift's resampling step in front of reference_stretch."""
+def whole_stretch(x: np.ndarray, n_out: int) -> np.ndarray:
+    """The phasor vocoder _stretch_signal ran before it went through
+    blocks of output frames: every input frame transformed at once, one
+    accumulate over every output frame, one overlap-add of them all.
+    Kept as the oracle for the block edges; takes and returns floats."""
+    n_in = len(x)
+    if n_out == n_in:
+        return x.copy()
+    if n_out == 0:
+        return np.zeros(0)
+    if n_in == 0:
+        return np.zeros(n_out)
+    if n_in < 64:
+        return np.interp(np.linspace(0.0, n_in - 1.0, n_out), np.arange(n_in), x)
+
+    n_fft = min(2048, 1 << (n_in.bit_length() - 1))
+    hop = n_fft // 4
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    frames = sliding_window_view(np.pad(x, n_fft // 2), n_fft)[::hop]
+    spec = np.fft.rfft(frames * window, axis=1)  # [frames, bins]
+    t_in = spec.shape[0]
+
+    t_out = max(2, int(round(n_out / hop)) + 1)
+    steps = np.linspace(0.0, t_in - 1.0, t_out)
+    i = steps.astype(np.intp)
+    frac = (steps - i)[:, None]
+    i_next = np.minimum(i + 1, t_in - 1)
+
+    mags = np.abs(spec)
+    silent = mags == 0
+    phasors = np.divide(spec, mags, out=spec, where=~silent)
+    phasors[silent] = 1
+    step = phasors[:-1].conj()
+    step *= phasors[1:]
+    out = np.empty((t_out, spec.shape[1]), dtype=complex)
+    out[0] = phasors[0]
+    np.take(step, i[:-1], axis=0, out=out[1:], mode="clip")
+    np.multiply.accumulate(out, axis=0, out=out)
+    mag = mags[i]
+    mag *= 1.0 - frac
+    mag += frac * mags[i_next]
+    out *= mag
+
+    quarters = n_fft // hop
+    frames = np.fft.irfft(out, n=n_fft, axis=1)
+    frames *= window
+    frames = frames.reshape(t_out, quarters, hop)
+    wsq = (window * window).reshape(quarters, hop)
+    y = np.zeros((t_out - 1 + quarters, hop))
+    wsum = np.zeros_like(y)
+    for q in reversed(range(quarters)):
+        y[q : q + t_out] += frames[:, q]
+        wsum[q : q + t_out] += wsq[q]
+    y /= np.maximum(wsum, 1e-8, out=wsum)
+    y = y.reshape(-1)[n_fft // 2 :]
+    if len(y) < n_out:
+        y = np.pad(y, (0, n_out - len(y)))
+    return y[:n_out]
+
+
+def reference_pitch_shift(
+    samples: np.ndarray, semitones: int, stretch=reference_stretch
+) -> np.ndarray:
+    """pitch_shift's resampling step in front of ``stretch``."""
     if not len(samples):
         return np.zeros(0)
     ratio = 2.0 ** (semitones / 12.0)
     x = samples / 32768.0
     n = len(x)
     pos = np.minimum(np.arange(max(1, round(n / ratio))) * ratio, n - 1)
-    return reference_stretch(np.interp(pos, np.arange(n), x), n)
+    return stretch(np.interp(pos, np.arange(n), x), n)
 
 
 def quantize(y: np.ndarray) -> np.ndarray:
@@ -117,6 +183,19 @@ def joined_length(lengths: list[int], crossfade: int) -> int:
     for n in lengths[1:]:
         total += n - min(crossfade, total, n)
     return total
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, numpy's buffers included, as
+    tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_silence_frame_count():
@@ -195,10 +274,10 @@ def test_concat_matches_reference(clips, crossfade):
     assert joined.n_frames == joined_length([c.n_frames for c in clips], crossfade)
 
 
-def test_concat_matches_reference_at_long_flat_scale():
-    # about 300 half-second pieces, as one long unmetred render joins
+def long_flat_pieces() -> list[AudioClip]:
+    """300 half-second pieces, as one long unmetred render joins."""
     rng = np.random.default_rng(7)
-    clips = [
+    return [
         AudioClip(
             (rng.uniform(-0.9, 0.9) * 32767 * np.sin(np.arange(22050) * f)).astype(np.int16),
             44100,
@@ -207,9 +286,20 @@ def test_concat_matches_reference_at_long_flat_scale():
         else silence(1, 0.5, 44100)
         for k, f in enumerate(rng.uniform(0.01, 0.2, 300))
     ]
+
+
+def test_concat_matches_reference_at_long_flat_scale():
+    clips = long_flat_pieces()
     joined = concat(clips, crossfade=220)
     assert joined.n_frames == 300 * 22050 - 299 * 220
     assert np.array_equal(joined.samples, reference_concat(clips, 220))
+
+
+def test_concat_peak_memory_is_the_int16_output():
+    # the join is int16; float is used only over each overlap
+    clips = long_flat_pieces()
+    out_bytes = 2 * (300 * 22050 - 299 * 220)
+    assert traced_peak(lambda: concat(clips, crossfade=220)) <= 1.1 * out_bytes + 2**20
 
 
 def test_crossfade_frames_default():
@@ -326,6 +416,52 @@ def test_stretch_and_pitch_match_reference(clip, factor, semitones):
     want = quantize(reference_pitch_shift(clip.samples, semitones))
     assert len(got) == clip.n_frames
     assert np.max(np.abs(got.astype(int) - want), initial=0) <= 1
+
+
+def test_stretch_peak_memory_grows_by_at_most_48_bytes_a_frame():
+    # the vocoder's working set is a few [block, bins] arrays; what grows
+    # with the take is its float copy, the padded copy, the float output
+    # and the quantized one: a 4 s and a 40 s take, each 10% long
+    peaks = []
+    for seconds in (4, 40):
+        n_out = seconds * 44100
+        clip = _signal(round(n_out * 1.1), "mix", seconds)
+        peaks.append((n_out, traced_peak(lambda: stretch_to_length(clip, n_out))))
+    (n_short, short), (n_long, long) = peaks
+    assert (long - short) / (n_long - n_short) <= 48
+
+
+@st.composite
+def _stretches(draw):
+    """A clip and an output length: either a factor in 0.5..2, or one
+    that makes t_out, the output frame count, k blocks and -1, 0 or +1."""
+    clip = draw(_signals)
+    n_in = clip.n_frames
+    if n_in >= 64 and draw(st.booleans()):
+        hop = min(2048, 1 << (n_in.bit_length() - 1)) // 4
+        t_out = draw(st.integers(1, 4)) * _BLOCK_FRAMES + draw(st.sampled_from([-1, 0, 1]))
+        return clip, (t_out - 1) * hop + draw(st.integers(1 - hop // 2, hop // 2 - 1))
+    return clip, round(n_in * draw(st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_stretches(),
+    semitones=st.sampled_from([s for s in range(PITCH_MIN, PITCH_MAX + 1) if s]),
+)
+def test_stretch_and_pitch_equal_the_whole_array_vocoder(case, semitones):
+    # numpy may multiply a block's rows with another loop than the whole
+    # array's, a last bit apart, so floats are held to 1e-12 and int16
+    # must be equal
+    clip, n_out = case
+    x = clip.samples / 32768.0
+    want = whole_stretch(x, n_out)
+    got = _stretch_signal(x, n_out)
+    assert len(got) == n_out
+    assert np.max(np.abs(got - want), initial=0) <= 1e-12
+    assert np.array_equal(stretch_to_length(clip, n_out).samples, quantize(want))
+    want = quantize(reference_pitch_shift(clip.samples, semitones, whole_stretch))
+    assert np.array_equal(pitch_shift(clip, semitones).samples, want)
 
 
 def test_stretch_and_pitch_equal_reference_at_verse_scale():

@@ -244,6 +244,18 @@ def test_unpitched_render_is_unchanged():
     )
 
 
+def test_short_beat_render_is_unchanged():
+    # a one-beat piece of 265 frames is shorter than two 220-frame
+    # crossfades, so a fade reaches back across it into the frames the
+    # fade before wrote (hash taken while the join still built a float
+    # copy of the whole render)
+    result = synthesize(SAMPLE_VERSE, Config(beat_seconds=0.006))
+    assert result.clip.n_frames == 9508
+    assert sha256(result.clip) == (
+        "30a6ecc4a6066fb0399cf5afd7355c46a3cb8230545d7cf64c2d6c3c8e16f1b5"
+    )
+
+
 def test_recorded_takes_are_vocoded_as_before(tmp_path, monkeypatch):
     from versechant.dsp import write_wav
 
@@ -283,7 +295,8 @@ def test_config_is_frozen():
 
 
 def test_config_rejects_a_beat_that_is_not_a_number():
-    for bad in ("0.5", None):
+    # nor is a bool, though Python counts True as 1
+    for bad in ("0.5", None, True):
         with pytest.raises(ConfigError, match="beat"):
             Config(beat_seconds=bad)
 
@@ -294,6 +307,9 @@ def test_config_rejects_a_fractional_sample_rate():
         Config(sample_rate=22050.5)
     with pytest.raises(ConfigError, match="sample rate"):
         Config(sample_rate=22050.0)
+    # a bool fails as a sample rate, not later as a base frequency
+    with pytest.raises(ConfigError, match="sample rate"):
+        Config(sample_rate=True)
     assert Config(sample_rate=np.int64(22050)).sample_rate == 22050
 
 
@@ -310,7 +326,7 @@ def test_config_rejects_aliasing_base_freq():
         Config(sample_rate=8000, base_freq=990)
     assert Config(sample_rate=8000, base_freq=790).base_freq == 790
     # a library caller's non-number is a ConfigError, not a TypeError
-    for bad in ("220", None):
+    for bad in ("220", None, True):
         with pytest.raises(ConfigError, match="base frequency"):
             Config(base_freq=bad)
 
