@@ -4,10 +4,12 @@ directory of recorded clips.
 A clip request names a unit's text, its weight, the beat length and
 the pitch in semitones; the clip handed back always lasts exactly
 (weight + 1) beats at the engine sample rate, so the renderer can do
-beat arithmetic in frames.  A provider that ``sings_at_pitch`` (the
-synthetic voice) returns the clip at the request's pitch; any other
-(recorded clips, files named ``<unit_text>_<l|g>.wav``) is asked at
-pitch 0 and the renderer pitch-shifts its clip with the phase vocoder.
+beat arithmetic in frames.  Both providers here sing at pitch
+(``sings_at_pitch``): they return the clip at the request's pitch.  The
+synthetic voice sings it at base_freq · 2^(pitch/12); a directory of
+recorded takes (files named ``<unit_text>_<l|g>.wav``) reads its take
+2^(pitch/12) times faster in one resampling pass, then fits the read to
+the slot, so a take goes through the phase vocoder once at most.
 Providers keep no clips: the renderer memoizes them, one fetch per
 distinct request in a render.
 
@@ -137,8 +139,9 @@ class ClipProvider(ABC):
     states.
 
     ``sings_at_pitch`` tells the renderer that ``get_clip`` returns the
-    clip at ``request.pitch``; a provider without it is always asked at
-    pitch 0, and its clips are pitch-shifted afterwards."""
+    clip at ``request.pitch``, as both providers here do; a provider
+    without it is always asked at pitch 0, and its clips are
+    pitch-shifted afterwards."""
 
     sings_at_pitch = False
 
@@ -376,15 +379,20 @@ def default_voice(base_freq: float, sample_rate: int) -> SyntheticVoice:
 # Recorded clips
 
 class ClipDirectory(ClipProvider):
-    """Clips read from ``<unit_text>_<l|g>.wav`` files in one directory.
+    """Clips read from ``<unit_text>_<l|g>.wav`` files in one directory,
+    sung at the request's pitch.
 
-    Files are conformed to the engine: resampled to the engine rate,
-    then brought to the exact expected frame count.  A duration off by
-    5% or more of the expected length is time-stretched; smaller gaps
-    are padded or trimmed.  A path that is not a directory, or two
-    files whose names normalize to one (unit, weight) take, raise
-    ``ConfigError``.
+    A take is read once at the engine rate and the pitch: every output
+    frame steps take_rate · 2^(pitch/12) / engine_rate input frames
+    (``dsp.resample``, which low-passes a read that steps over more than
+    one frame).  The read is then brought to the exact expected frame
+    count by one rule: a length off by 5% or more is time-stretched with
+    the phase vocoder; a smaller gap is padded with silence or trimmed.
+    A path that is not a directory, or two files whose names normalize
+    to one (unit, weight) take, raise ``ConfigError``.
     """
+
+    sings_at_pitch = True
 
     def __init__(self, directory: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE):
         check_sample_rate(sample_rate)
@@ -410,17 +418,13 @@ class ClipDirectory(ClipProvider):
         return len(self._index)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        if request.pitch:
-            # a take is sung at one pitch; the renderer shifts it
-            raise ValueError("recorded clips are served at pitch 0 only")
         path = self._index.get((normalize(request.unit_text), request.weight))
         if path is None:
             raise ClipUnavailable(request.unit_text, request.weight.tag)
         clip = read_wav(path)
         if clip.n_frames == 0:
             raise BadWav(path, "clip holds no samples")
-        if clip.sample_rate != self.sample_rate:
-            clip = resample(clip, self.sample_rate)
+        clip = resample(clip, self.sample_rate, request.pitch)
         expected = request.n_frames(self.sample_rate)
         got = clip.n_frames
         if got == expected:

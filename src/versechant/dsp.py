@@ -1,7 +1,12 @@
-"""Audio primitives: clips, concatenation, stretch, pitch shift, WAV I/O.
+"""Audio primitives: clips, concatenation, resampling, stretch, pitch
+shift, WAV I/O.
 
-All audio is mono 16-bit PCM held as int16 numpy arrays.  Pitch
-shifting preserves duration exactly: the clip is resampled by the
+All audio is mono 16-bit PCM held as int16 numpy arrays.  Resampling
+can also raise or lower the pitch: read at 2^(s/12) times the rate's
+step, a clip sounds s semitones higher and runs 2^(s/12) times shorter.
+A read that steps over more than one input frame per output frame is
+low-passed first, so nothing above the output's Nyquist folds back.
+Pitch shifting preserves duration exactly: the clip is resampled by the
 semitone ratio and then phase-vocoder stretched back to its original
 frame count.  Time stretching preserves pitch.
 
@@ -16,14 +21,16 @@ running product over time yields a block of frames at once, so
 stretching needs no trigonometry, no phase unwrapping and no loop over
 single frames.  It works on blocks of ``_BLOCK_FRAMES`` (16) output
 frames, about 260 KB per complex [block, bins] array at 2048-point
-FFTs, so its working set does not grow with the take.  Stretching a
-take 10% long, its peak grows by about 26 bytes per output frame: the
-float input, its padded copy and the float output (tests hold it to
-48).
+FFTs, so its working set does not grow with the take.  It frames the
+input in place; only a block that reaches past either end copies its
+own span with the zeros around it.  Stretching a take 10% long, its
+peak grows by about 17 bytes per output frame: the float input and the
+float output (tests hold it to 24).
 """
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,18 +152,39 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     return AudioClip(out, rate)
 
 
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Linear-interpolation resample to a new sample rate."""
+def resample(clip: AudioClip, target_rate: int, semitones: float = 0) -> AudioClip:
+    """Linear-interpolation resample to a new sample rate, sung
+    ``semitones`` higher.
+
+    Output frame k reads input frame k · step, step = clip rate ·
+    2^(s/12) / target_rate, so the clip keeps its pitch at 0 semitones
+    and rises by s otherwise, with round(n / step) frames.  When
+    step > 1 the clip is first low-passed below target_rate / 2 as the
+    output will hear it (``_low_pass``), so no frequency folds back.  At
+    0 semitones and the clip's own rate the clip comes back unchanged.
+    """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if clip.n_frames == 0:
         return AudioClip(clip.samples, target_rate)
-    if target_rate == clip.sample_rate:
+    if target_rate == clip.sample_rate and not semitones:
         return clip
     x = _to_float(clip.samples)
-    m = max(1, int(round(len(x) * target_rate / clip.sample_rate)))
-    y = _interpolate(x, m, clip.sample_rate / target_rate)
+    read_rate = clip.sample_rate * 2.0 ** (semitones / 12)
+    step = read_rate / target_rate
+    if step > 1:
+        x = _low_pass(x, 0.5 / step)
+    m = max(1, int(round(len(x) * target_rate / read_rate)))
+    y = _interpolate(x, m, step)
     return AudioClip(_to_int16(y), target_rate)
+
+
+def _low_pass(x: np.ndarray, cutoff: float) -> np.ndarray:
+    """x without its frequencies at or above ``cutoff`` cycles per frame:
+    the DFT bins from cutoff · len(x) up are zeroed."""
+    spec = np.fft.rfft(x)
+    spec[math.ceil(cutoff * len(x)) :] = 0
+    return np.fft.irfft(spec, len(x))
 
 
 def _interpolate(x: np.ndarray, m: int, step: float) -> np.ndarray:
@@ -192,6 +220,23 @@ def _keep_rows(rows: np.ndarray, keep: int, n_new: int) -> np.ndarray:
     return out
 
 
+def _frames(x: np.ndarray, first: int, count: int, n_fft: int) -> np.ndarray:
+    """Frames first .. first + count - 1 of x, n_fft long at a hop of
+    n_fft // 4, frame j centred on x[j · hop] with zeros past either end
+    of x: the frames of x padded by n_fft // 2 zeros a side.  They are
+    views into x, unless they reach past an end; then only their own
+    span is copied, with its zeros."""
+    if count == 0:
+        return np.zeros((0, n_fft))
+    hop = n_fft // 4
+    lo = first * hop - n_fft // 2
+    hi = lo + (count - 1) * hop + n_fft
+    span = x[max(lo, 0) : hi]
+    if lo < 0 or hi > len(x):
+        span = np.pad(span, (max(-lo, 0), max(hi - len(x), 0)))
+    return sliding_window_view(span, n_fft)[::hop]
+
+
 def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     """Stretch float signal x to exactly n_out samples, keeping pitch.
 
@@ -206,7 +251,7 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     previous block's last one, and overlap-adds its inverse frames into
     the output, hop-sized row by row, in frame order.  So the working
     set is a few [block, bins] arrays whatever the input's length; what
-    grows with it is the padded input and the float output.
+    grows with it is the input and the float output.
     """
     n_in = len(x)
     if n_out == n_in:
@@ -223,8 +268,7 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     hop = n_fft // 4
     quarters = n_fft // hop
     window = _periodic_hann(n_fft)
-    frames = sliding_window_view(np.pad(x, n_fft // 2), n_fft)[::hop]
-    t_in = len(frames)
+    t_in = n_in // hop + 1  # frames of x centre-padded by n_fft // 2
 
     t_out = max(2, int(round(n_out / hop)) + 1)
     steps = np.linspace(0.0, t_in - 1.0, t_out)
@@ -250,7 +294,8 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
         # rows for input frames lo .. i_next[t1 - 1], all the block reads
         lo = i[s0]
         keep = done - lo
-        spec = np.fft.rfft(frames[done : i_next[t1 - 1] + 1] * window, axis=1)
+        frames = _frames(x, done, i_next[t1 - 1] + 1 - done, n_fft)
+        spec = np.fft.rfft(frames * window, axis=1)
         done += len(spec)
         mags = _keep_rows(mags, keep, len(spec))
         np.abs(spec, out=mags[keep:])
@@ -309,7 +354,8 @@ def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
 
     A shift of 0 returns the clip unchanged, bit for bit.
     """
-    if semitones != int(semitones):
+    # a bool is an int to Python, but True is no one-semitone shift
+    if isinstance(semitones, bool) or semitones != int(semitones):
         raise ValueError("semitones must be an integer")
     semitones = int(semitones)
     if not PITCH_MIN <= semitones <= PITCH_MAX:

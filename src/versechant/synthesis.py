@@ -4,9 +4,11 @@ The pipeline is: split the text into quarters, tokenize, apply sandhi
 corrections, split into units, weigh and classify the metre, then
 fetch one clip per unit at the pitch the metre's pitch row gives it,
 and concatenate everything on the beat grid with rests at the
-caesuras.  The synthetic voice sings each clip at its pitch; a clip
-from a provider that cannot (recorded takes) is fetched at the base
-note and pitch-shifted by the phase vocoder.  The plan's quarters hold
+caesuras.  Both bundled providers sing each clip at its pitch: the
+synthetic voice at its pitched frequency, a directory of recorded takes
+by reading the take faster or slower and fitting it to its slot.  A
+provider that cannot sing at pitch is asked for the base note, and its
+clip is pitch-shifted by the phase vocoder.  The plan's quarters hold
 the analysis's own pitched units (``prosody.TimedUnit``).
 """
 
@@ -195,10 +197,12 @@ def synthesize(
 
     Each quarter's slots are rendered in grid order: a unit's clip at
     the metre's pitch, or a rest of silence.  A store that
-    ``sings_at_pitch`` is asked for the clip at that pitch; any other is
-    asked at pitch 0 and its clip pitch-shifted.  Each distinct clip
-    request goes to the store once per render.  Without a store or a
-    ``clip_dir``, the store is the process's synthetic voice
+    ``sings_at_pitch`` (the synthetic voice and ``ClipDirectory`` both
+    do) is asked for the clip at that pitch; any other is asked at pitch
+    0 and its clip pitch-shifted.  Each distinct clip request, pitch
+    included, goes to the store once per render, so a recorded take is
+    read and vocoded at most once per (unit, weight, beat, pitch).
+    Without a store or a ``clip_dir``, the store is the process's synthetic voice
     (``audio_store.default_voice``), whose parts outlive the render.
     """
     config = config if config is not None else Config()

@@ -58,6 +58,11 @@ def fft_peak_hz(samples: np.ndarray, rate: int) -> float:
     return peak * rate / len(samples)
 
 
+def peak_bin(samples: np.ndarray) -> int:
+    """The strongest bin of the signal's plain magnitude rfft."""
+    return int(np.argmax(np.abs(np.fft.rfft(samples))))
+
+
 class CountingVoice(SyntheticVoice):
     """A synthetic voice that records every request it is asked for."""
 

@@ -25,7 +25,7 @@ from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
 from versechant.transliteration import tokenize
 
-from conftest import SAMPLE_VERSE, CountingVoice, fft_peak_hz, sine_clip
+from conftest import SAMPLE_VERSE, CountingVoice, fft_peak_hz, peak_bin, sine_clip
 
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
@@ -569,14 +569,45 @@ def test_clip_directory_missing_unit(tmp_path):
         store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
 
 
-def test_clip_directory_serves_the_base_note_only(tmp_path):
-    # it does not sing at pitch, so a pitched request is refused rather
-    # than answered with the unpitched take
-    _write_clip(tmp_path, "van_l.wav", SyntheticVoice().get_clip(ClipRequest("van", Weight.LAGHU, 0.5)))
+def rms(clip) -> float:
+    return float(np.sqrt(np.mean(clip.samples.astype(np.float64) ** 2)))
+
+
+def test_clip_directory_serves_at_pitch(tmp_path):
+    # the take is read 2^(p/12) times faster and fitted to its slot,
+    # whether it is exact at the engine rate (van) or 10% long at half
+    # of it (de)
+    want = expected_frames(Weight.LAGHU, 0.5)
+    _write_clip(tmp_path, "van_l.wav", sine_clip(300, 0.5))
+    _write_clip(tmp_path, "de_l.wav", sine_clip(300, 0.55, rate=22050))
     store = ClipDirectory(tmp_path)
-    assert not store.sings_at_pitch
-    with pytest.raises(ValueError, match="pitch 0"):
-        store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5, 3))
+    assert store.sings_at_pitch
+    for text in ("van", "de"):
+        for p in range(PITCH_MIN, PITCH_MAX + 1):
+            clip = store.get_clip(ClipRequest(text, Weight.LAGHU, 0.5, p))
+            assert clip.n_frames == want
+            assert peak_bin(clip.samples) == round(300 * 2 ** (p / 12) * want / 44100)
+
+
+def test_clip_directory_low_passes_a_read_faster_than_the_take(tmp_path):
+    # a read that steps over more than one take frame per output frame
+    # would fold the take's content above the output's Nyquist back into
+    # the band: a 20 kHz tone sung 2 or 4 semitones up, or a 23 kHz tone
+    # of a 48 kHz take at 44.1 kHz, must vanish
+    high = sine_clip(20000, 0.5)
+    over = sine_clip(23000, 0.5, rate=48000)
+    low = sine_clip(300, 0.5)
+    _write_clip(tmp_path, "hi_l.wav", high)
+    _write_clip(tmp_path, "ta_l.wav", over)
+    _write_clip(tmp_path, "lo_l.wav", low)
+    store = ClipDirectory(tmp_path)
+    for text, take, pitch in (("hi", high, 2), ("hi", high, 4), ("ta", over, 0)):
+        clip = store.get_clip(ClipRequest(text, Weight.LAGHU, 0.5, pitch))
+        assert rms(clip) <= 0.01 * rms(take)
+    # a tone well inside the band keeps its pitch and its level
+    clip = store.get_clip(ClipRequest("lo", Weight.LAGHU, 0.5, 4))
+    assert peak_bin(clip.samples) == round(300 * 2 ** (4 / 12) * clip.n_frames / 44100)
+    assert abs(20 * np.log10(rms(clip) / rms(low))) <= 1
 
 
 def test_clip_directory_weight_distinguishes(tmp_path):

@@ -11,10 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from versechant import synthesis
+from versechant import audio_store, synthesis
 from versechant.alphabet import classify
-from versechant.audio_store import HARMONICS, ClipRequest, SyntheticVoice
-from versechant.dsp import beat_frames, concat, crossfade_frames, read_wav, silence
+from versechant.audio_store import HARMONICS, ClipDirectory, ClipRequest, SyntheticVoice
+from versechant.dsp import (
+    beat_frames,
+    concat,
+    crossfade_frames,
+    pitch_shift,
+    read_wav,
+    silence,
+    write_wav,
+)
 from versechant.errors import (
     ChantError,
     ConfigError,
@@ -31,7 +39,16 @@ from versechant.synthesis import (
 )
 from versechant.units import Unit
 
-from conftest import Q1_T, Q1_TA, Q1_TE, Q1_V, SAMPLE_VERSE, CountingVoice, random_text
+from conftest import (
+    Q1_T,
+    Q1_TA,
+    Q1_TE,
+    Q1_V,
+    SAMPLE_VERSE,
+    CountingVoice,
+    peak_bin,
+    random_text,
+)
 
 
 def make_timed(t: int, v: int, word_final: bool) -> TimedUnit:
@@ -189,17 +206,20 @@ def test_zero_pitch_equals_plain_concatenation(tmp_path):
     assert np.array_equal(rendered.samples, want.samples)
 
 
-def test_synthesize_from_clip_directory(tmp_path):
-    from versechant.dsp import write_wav
-
-    config = Config(crossfade=False, require_metre=False)
-    # record every (unit, render weight) the verse needs
-    plan = prepare("vande gurūṇām", config)
+def record_takes(directory, plan, rate: int = 44100, beat: float = 0.5) -> None:
+    """One take per (unit, render weight) the plan sings, by a synthetic
+    voice at 196 Hz and ``rate``, each as long as its beats at ``beat``."""
+    voice = SyntheticVoice(196.0, rate)
     for quarter in plan.quarters:
         for tu in quarter.timed:
             weight = Weight(tu.render_beats - 1)
-            clip = SyntheticVoice(196.0).get_clip(ClipRequest(tu.unit.text, weight, 0.5))
-            write_wav(clip, tmp_path / f"{tu.unit.text}_{weight.tag}.wav")
+            clip = voice.get_clip(ClipRequest(tu.unit.text, weight, beat))
+            write_wav(clip, directory / f"{tu.unit.text}_{weight.tag}.wav")
+
+
+def test_synthesize_from_clip_directory(tmp_path):
+    config = Config(crossfade=False, require_metre=False)
+    record_takes(tmp_path, prepare("vande gurūṇām", config))
     config = replace(config, clip_dir=tmp_path)
     result = synthesize("vande gurūṇām", config)
     want = int(round(result.plan.total_beats * 0.5 * 44100))
@@ -256,26 +276,89 @@ def test_short_beat_render_is_unchanged():
     )
 
 
-def test_recorded_takes_are_vocoded_as_before(tmp_path, monkeypatch):
-    from versechant.dsp import write_wav
+def record_clips(monkeypatch) -> list[tuple[ClipRequest, object]]:
+    """Every (request, clip) a ClipDirectory serves from now on."""
+    served = []
+    get_clip = ClipDirectory.get_clip
 
-    # takes cannot sing at pitch: each is asked for at the base note and
-    # shifted by its unit's pitch, and the render is the one it was
-    # before the voice sang at pitch (hash taken from that version)
+    def spy(self, request):
+        clip = get_clip(self, request)
+        served.append((request, clip))
+        return clip
+
+    monkeypatch.setattr(ClipDirectory, "get_clip", spy)
+    return served
+
+
+def test_recorded_takes_sing_at_pitch_like_the_vocoder(tmp_path, monkeypatch):
+    # each take is read at its unit's pitch, so no piece is left for the
+    # vocoder's pitch shift; a pitched clip matches the two-pass clip
+    # (the base-note clip shifted by pitch_shift) in length and peak bin,
+    # for exact takes at the engine rate and 10% long ones at half of it
     config = Config(crossfade=False)
     plan = prepare(SAMPLE_VERSE, config)
-    for quarter in plan.quarters:
-        for tu in quarter.timed:
-            weight = Weight(tu.render_beats - 1)
-            clip = SyntheticVoice(196.0).get_clip(ClipRequest(tu.unit.text, weight, 0.5))
-            write_wav(clip, tmp_path / f"{tu.unit.text}_{weight.tag}.wav")
     shifts = record_shifts(monkeypatch)
-    result = synthesize(SAMPLE_VERSE, replace(config, clip_dir=tmp_path))
-    assert shifts == [tu.pitch for q in plan.quarters for tu in q.timed]
-    assert result.clip.n_frames == 1653750
+    served = record_clips(monkeypatch)
+    for rate, beat in ((44100, 0.5), (22050, 0.55)):
+        takes = tmp_path / str(rate)
+        takes.mkdir()
+        record_takes(takes, plan, rate, beat)
+        shifts.clear()
+        served.clear()
+        synthesize(SAMPLE_VERSE, replace(config, clip_dir=takes))
+        assert shifts == [0] * sum(len(q.timed) for q in plan.quarters)
+        store = ClipDirectory(takes)
+        pitched = [(r, clip) for r, clip in served if r.pitch]
+        assert len({r.pitch for r, _ in pitched}) > 1
+        for request, clip in pitched:
+            base = store.get_clip(replace(request, pitch=0))
+            two_pass = pitch_shift(base, request.pitch)
+            assert clip.n_frames == two_pass.n_frames
+            assert peak_bin(clip.samples) == peak_bin(two_pass.samples)
+
+
+def test_unpitched_recorded_render_is_unchanged(tmp_path):
+    # every pitch is 0 and the takes are 10% long at 22.05 kHz, so each
+    # is resampled and stretched as before takes sang at pitch (hash taken
+    # from that version)
+    text = "vande gurūṇāṃ caraṇāravinde sandarśitasvātmasukhāvabodhe"
+    config = Config(require_metre=False)
+    record_takes(tmp_path, prepare(text, config), rate=22050, beat=0.55)
+    result = synthesize(text, replace(config, clip_dir=tmp_path))
+    assert {tu.pitch for q in result.plan.quarters for tu in q.timed} == {0}
+    assert result.clip.n_frames == 811010
     assert sha256(result.clip) == (
-        "2ee01139f6e853eed617666c75711ae5634db7a39de7d3cb96879629530f61e2"
+        "af320ad691b4a84b469ae9fa15db2b19875868da6ae832c0e8a980c49ba0c07d"
     )
+
+
+def test_each_take_is_stretched_once_per_request_off_its_slot(tmp_path, monkeypatch):
+    # the vocoder runs once for each distinct (unit, weight, pitch) whose
+    # read lands 5% or more off its slot, not once per piece
+    config = Config()
+    plan = prepare(SAMPLE_VERSE, config)
+    record_takes(tmp_path, plan, rate=22050, beat=0.55)
+    stretched = []
+    stretch = audio_store.stretch_to_length
+
+    def spy(clip, n_frames):
+        stretched.append(n_frames)
+        return stretch(clip, n_frames)
+
+    monkeypatch.setattr(audio_store, "stretch_to_length", spy)
+    synthesize(SAMPLE_VERSE, replace(config, clip_dir=tmp_path))
+
+    def off(key) -> bool:
+        text, beats, pitch = key
+        take = beat_frames(beats, 0.55, 22050)
+        read = round(take * 44100 / (22050 * 2 ** (pitch / 12)))
+        slot = beat_frames(beats, 0.5, 44100)
+        return abs(read - slot) / slot >= 0.05
+
+    pieces = [
+        (tu.unit.text, tu.render_beats, tu.pitch) for q in plan.quarters for tu in q.timed
+    ]
+    assert len(stretched) == sum(map(off, set(pieces))) < sum(map(off, pieces))
 
 
 def test_synthesize_missing_clip_annotated(tmp_path):
