@@ -77,12 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(arg: str) -> str:
+    # one leading byte-order mark, as Windows editors write, is dropped
     if arg == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     try:
         path = Path(arg)
         if path.exists() and path.is_file():
-            return path.read_text("utf-8")
+            return path.read_text("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UndecodableFile(path, exc) from None
     except OSError:

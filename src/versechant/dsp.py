@@ -165,10 +165,10 @@ def resample(clip: AudioClip, target_rate: int, semitones: float = 0) -> AudioCl
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
-    if clip.n_frames == 0:
-        return AudioClip(clip.samples, target_rate)
     if target_rate == clip.sample_rate and not semitones:
         return clip
+    if clip.n_frames == 0:
+        return AudioClip(clip.samples, target_rate)
     x = _to_float(clip.samples)
     read_rate = clip.sample_rate * 2.0 ** (semitones / 12)
     step = read_rate / target_rate
@@ -212,22 +212,12 @@ def _window_sums(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     return np.maximum(wsum, 1e-8, out=wsum)
 
 
-def _keep_rows(rows: np.ndarray, keep: int, n_new: int) -> np.ndarray:
-    """A new array of keep + n_new rows that starts with the last keep
-    rows of ``rows``; the n_new after them are left for the caller."""
-    out = np.empty((keep + n_new, rows.shape[1]), dtype=rows.dtype)
-    out[:keep] = rows[len(rows) - keep :]
-    return out
-
-
 def _frames(x: np.ndarray, first: int, count: int, n_fft: int) -> np.ndarray:
     """Frames first .. first + count - 1 of x, n_fft long at a hop of
     n_fft // 4, frame j centred on x[j · hop] with zeros past either end
     of x: the frames of x padded by n_fft // 2 zeros a side.  They are
     views into x, unless they reach past an end; then only their own
     span is copied, with its zeros."""
-    if count == 0:
-        return np.zeros((0, n_fft))
     hop = n_fft // 4
     lo = first * hop - n_fft // 2
     hi = lo + (count - 1) * hop + n_fft
@@ -246,12 +236,12 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     input frames that frame t - 1 read; frame 0 takes input frame 0's.
 
     Output frames go through in blocks of ``_BLOCK_FRAMES``: each block
-    transforms the input frames it reads (carrying over the at most two
-    the previous block read too), accumulates its phasors from the
-    previous block's last one, and overlap-adds its inverse frames into
-    the output, hop-sized row by row, in frame order.  So the working
-    set is a few [block, bins] arrays whatever the input's length; what
-    grows with it is the input and the float output.
+    transforms every input frame it reads (again the at most two the
+    previous block read too), accumulates its phasors from the previous
+    block's last one, the only value that crosses blocks, and then
+    overlap-adds its inverse frames into the output in frame order.  So
+    the working set is a few [block, bins] arrays whatever the input's
+    length; what grows with it is the input and the float output.
     """
     n_in = len(x)
     if n_out == n_in:
@@ -281,9 +271,6 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
     # quarters go in last-first, so a row takes its frames in order,
     # block after block, as one loop over all frames would add them
     y = np.zeros((t_out - 1 + quarters, hop))
-    mags = np.zeros((0, n_fft // 2 + 1))
-    phasors = mags.astype(complex)
-    done = 0  # input frames transformed so far; the rows held end there
     t0 = 0
     while t0 < t_out:
         # a lone last frame joins the block before it: numpy accumulates
@@ -293,16 +280,12 @@ def _stretch_signal(x: np.ndarray, n_out: int) -> np.ndarray:
         s0 = max(t0 - 1, 0)  # the frame whose phasor the block starts from
         # rows for input frames lo .. i_next[t1 - 1], all the block reads
         lo = i[s0]
-        keep = done - lo
-        frames = _frames(x, done, i_next[t1 - 1] + 1 - done, n_fft)
+        frames = _frames(x, lo, i_next[t1 - 1] + 1 - lo, n_fft)
         spec = np.fft.rfft(frames * window, axis=1)
-        done += len(spec)
-        mags = _keep_rows(mags, keep, len(spec))
-        np.abs(spec, out=mags[keep:])
-        phasors = _keep_rows(phasors, keep, len(spec))
-        silent = mags[keep:] == 0
-        np.divide(spec, mags[keep:], out=phasors[keep:], where=~silent)
-        phasors[keep:][silent] = 1  # phase 0, as np.angle(0) gives
+        mags = np.abs(spec)
+        silent = mags == 0
+        phasors = np.divide(spec, mags, out=spec, where=~silent)
+        phasors[silent] = 1  # phase 0, as np.angle(0) gives
         step = phasors[:-1].conj()
         step *= phasors[1:]  # step[k]: phase step from input frame lo + k on
 

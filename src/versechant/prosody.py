@@ -234,7 +234,7 @@ def load_metre_db(path: str | Path | None = None) -> tuple[MetreRecord, ...]:
     if path is None:
         return _bundled_metre_db()
     try:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")  # a byte-order mark may lead
     except UnicodeDecodeError as exc:
         raise UndecodableFile(path, exc) from None
     return _records(text)

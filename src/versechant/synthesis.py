@@ -227,8 +227,7 @@ def synthesize(
                     clip = clips.get(request)
                     if clip is None:
                         clip = clips[request] = store.get_clip(request)
-                with _stage("pitch"):
-                    pieces.append(pitch_shift(clip, tu.pitch - sung))
+                pieces.append(pitch_shift(clip, tu.pitch - sung))
         clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:

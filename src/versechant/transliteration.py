@@ -11,8 +11,9 @@ sequence of gaps (whitespace, "|" or a danda) and letters, each the
 longest alphabet text at its offset.  Devanagari text is a sequence
 of consonants, each with at most one mark (a virama or a vowel sign;
 no mark means the inherent a), independent vowels, the signs ṃ and
-ḥ, dandas and whitespace.  Any other character is an error at its
-offset.  The dandas "।" and "॥" break quarters in either script.
+ḥ, dandas ("।", "॥" or "|") and whitespace.  Any other character is
+an error at its offset.  Dandas break quarters in either script, and
+each script takes the other's.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ _DEVA_STANDALONE = {
     "ः": "ḥ",  # visarga
     "।": " | ",  # danda
     "॥": " || ",  # double danda
+    "|": " | ",  # the romanized danda, as "।" works in romanized text
 }
 
 # A consonant with at most one mark, or a standalone sign, or

@@ -10,7 +10,9 @@ import pytest
 from versechant.cli import main
 from versechant.dsp import read_wav
 
-from conftest import Q1_UNITS, Q2_UNITS, Q3_UNITS, Q4_UNITS, Q1_T, Q1_V, SAMPLE_VERSE
+from conftest import (
+    Q1_UNITS, Q2_UNITS, Q3_UNITS, Q4_UNITS, Q1_T, Q1_V, SAMPLE_VERSE, iast_to_devanagari,
+)
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -55,6 +57,9 @@ def test_scan_reads_stdin(monkeypatch):
     code, out, _ = run_cli(["scan", "-"], stdin_text=SAMPLE_VERSE, monkeypatch=monkeypatch)
     assert code == 0
     assert out.splitlines()[0] == "metre: Upajāti"
+    # a leading byte-order mark is dropped
+    marked = run_cli(["scan", "-"], stdin_text="\ufeff" + SAMPLE_VERSE, monkeypatch=monkeypatch)
+    assert marked == (0, out, "")
 
 
 def test_scan_reads_file(tmp_path):
@@ -63,6 +68,16 @@ def test_scan_reads_file(tmp_path):
     code, out, _ = run_cli(["scan", str(path)])
     assert code == 0
     assert out.splitlines()[0] == "metre: Upajāti"
+    # a file that starts with a byte-order mark reads as the same text,
+    # in either script
+    for text in (SAMPLE_VERSE, iast_to_devanagari(SAMPLE_VERSE.replace("|", ""))):
+        for command in ("scan", "units"):
+            path.write_text(text, encoding="utf-8")
+            plain = run_cli([command, str(path)])
+            path.write_text(text, encoding="utf-8-sig")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+            assert run_cli([command, str(path)]) == plain
+            assert plain[0] == 0
 
 
 def test_synth_writes_wav(tmp_path):
@@ -134,18 +149,23 @@ def test_devanagari_flag_and_autodetect():
     code, out, _ = run_cli(["units", "vande ।"])
     assert code == 0
     assert out.splitlines() == ["van", "de"]
+    # nor does "|" keep Devanagari text from being read
+    with_pipes = run_cli(["units", "वन्दे गुरूणां | नमः ||"])
+    assert with_pipes == run_cli(["units", "वन्दे गुरूणां । नमः ॥"])
+    assert with_pipes[0] == 0
 
 
 def test_metre_db_flag(tmp_path):
     db = tmp_path / "own.txt"
-    db.write_text(
-        "name: pair\nsyllables: 2 3 2 3\n"
-        "pitch_q13: 0 1\npitch_q24: 0 1 0\n",
-        encoding="utf-8",
-    )
-    code, out, _ = run_cli(["scan", "vande gurūṇāṃ gata ayana", "--metre-db", str(db)])
+    records = "name: pair\nsyllables: 2 3 2 3\npitch_q13: 0 1\npitch_q24: 0 1 0\n"
+    db.write_text(records, encoding="utf-8")
+    argv = ["scan", "vande gurūṇāṃ gata ayana", "--metre-db", str(db)]
+    code, out, _ = run_cli(argv)
     assert code == 0
     assert out.splitlines()[0] == "metre: pair"
+    # a database that starts with a byte-order mark reads the same
+    db.write_text(records, encoding="utf-8-sig")
+    assert run_cli(argv) == (0, out, "")
 
 
 def test_clips_flag(tmp_path):

@@ -315,6 +315,37 @@ def test_resample_halves_frames():
     assert abs(fft_peak_hz(down.samples, 22050) - 440) < 4.4
 
 
+_RATES = st.sampled_from([8000, 16000, 22050, 44100, 48000])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    rate=_RATES,
+    target=_RATES,
+    semitones=st.integers(PITCH_MIN, PITCH_MAX),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resample_laws(n, rate, target, semitones, seed):
+    samples = np.random.default_rng(seed).integers(-32768, 32768, n).astype(np.int16)
+    clip = AudioClip(samples, rate)
+    assert resample(clip, rate, 0) is clip
+    out = resample(clip, target, semitones)
+    assert out.sample_rate == target
+    if n == 0:
+        assert out.n_frames == 0
+        return
+    read_rate = rate * 2.0 ** (semitones / 12)
+    m = max(1, round(n * target / read_rate))
+    assert out.n_frames == m
+    step = read_rate / target
+    if step <= 1:
+        # no low-pass: the plain interpolated read, quantized
+        y = np.interp(np.minimum(np.arange(m) * step, n - 1), np.arange(n), samples / 32768.0)
+        want = np.clip(np.rint(y * 32768.0), -32768, 32767).astype(np.int16)
+        np.testing.assert_array_equal(out.samples, want)
+
+
 def test_pitch_shift_zero_is_identity():
     clip = sine_clip(440, 0.5)
     assert pitch_shift(clip, 0) is clip

@@ -169,6 +169,15 @@ def test_dandas_work_in_romanized_text():
         assert split_text(with_dandas) == split_text(verse)
 
 
+def test_pipes_work_in_devanagari_text():
+    assert tokenize(devanagari_to_latin("वन्दे|गुरूणां||")).text() == "vande gurūṇāṃ"
+    q = [iast_to_devanagari(part) for part in split_quarters(SAMPLE_VERSE)]
+    with_dandas = f"{q[0]}\n{q[1]} ।\n{q[2]}\n{q[3]} ॥"
+    with_pipes = with_dandas.replace("॥", "||").replace("।", "|")
+    assert split_text(with_pipes) == split_text(with_dandas) == split_text(SAMPLE_VERSE)
+    assert split_text("वन्दे गुरूणां | नमः ||") == split_text("वन्दे गुरूणां । नमः ॥")
+
+
 # ---------------------------------------------------------------------------
 # Devanagari
 
@@ -223,7 +232,7 @@ DEVA_CONSONANT_SET = set(DEVA_CONSONANTS.values())
 DEVA_MARK_SET = {sign for sign in DEVA_SIGNS.values() if sign} | {VIRAMA}
 DEVA_TABLED = (
     DEVA_CONSONANT_SET | DEVA_MARK_SET | set(DEVA_VOWELS.values())
-    | set(DEVA_MARKS.values()) | {"ँ", "।", "॥"}  # candrabindu, dandas
+    | set(DEVA_MARKS.values()) | {"ँ", "।", "॥", "|"}  # candrabindu, dandas
 )
 DEVA_PIECES = sorted(DEVA_TABLED) + [
     " ", "\n", "\u00a0", "ऽ", "०", "१", "़", "ॐ", "v",  # avagraha, digits, nukta
