@@ -2,14 +2,12 @@
 directory of recorded clips.
 
 A clip request names a unit's text, its weight, the beat length and
-the pitch in semitones; the clip handed back always lasts exactly
-(weight + 1) beats at the engine sample rate, so the renderer can do
-beat arithmetic in frames.  Both providers here sing at pitch
-(``sings_at_pitch``): they return the clip at the request's pitch.  The
-synthetic voice sings it at base_freq · 2^(pitch/12); a directory of
-recorded takes (files named ``<unit_text>_<l|g>.wav``) reads its take
-2^(pitch/12) times faster in one resampling pass, then fits the read to
-the slot, so a take goes through the phase vocoder once at most.
+the pitch in semitones; ``ClipProvider`` states what clip a provider
+hands back for it.  The synthetic voice sings the clip at
+base_freq · 2^(pitch/12); a directory of recorded takes (files named
+``<unit_text>_<l|g>.wav``) reads its take 2^(pitch/12) times faster in
+one resampling pass, then fits the read to the slot, so a take goes
+through the phase vocoder once at most.
 Providers keep no clips: the renderer memoizes them, one fetch per
 distinct request in a render.
 
@@ -132,18 +130,13 @@ class ClipRequest:
 
 
 class ClipProvider(ABC):
-    """Source of unit clips.  Each call builds or loads the clip anew;
-    the renderer memoizes whole clips, so providers keep no clips.  A
-    synthetic voice does keep the parts its clips share (phasor tables,
-    burst noise and bursts), within the budget the module docstring
-    states.
-
-    ``sings_at_pitch`` tells the renderer that ``get_clip`` returns the
-    clip at ``request.pitch``, as both providers here do; a provider
-    without it is always asked at pitch 0, and its clips are
-    pitch-shifted afterwards."""
-
-    sings_at_pitch = False
+    """Source of unit clips.  ``get_clip`` returns the unit sung at
+    ``request.pitch``, exactly ``request.n_frames(rate)`` frames long at
+    the engine rate, so the renderer can do beat arithmetic in frames.
+    Each call builds or loads the clip anew; the renderer memoizes whole
+    clips, so providers keep no clips.  A synthetic voice does keep the
+    parts its clips share (phasor tables, burst noise and bursts),
+    within the budget the module docstring states."""
 
     @abstractmethod
     def get_clip(self, request: ClipRequest) -> AudioClip: ...
@@ -288,8 +281,6 @@ class SyntheticVoice(ClipProvider):
     Its clips share the parts the module docstring lists, kept within
     PARTS_BUDGET bytes; threads may share a voice."""
 
-    sings_at_pitch = True
-
     def __init__(
         self, base_freq: float = 220.0, sample_rate: int = DEFAULT_SAMPLE_RATE
     ):
@@ -391,8 +382,6 @@ class ClipDirectory(ClipProvider):
     A path that is not a directory, or two files whose names normalize
     to one (unit, weight) take, raise ``ConfigError``.
     """
-
-    sings_at_pitch = True
 
     def __init__(self, directory: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE):
         check_sample_rate(sample_rate)

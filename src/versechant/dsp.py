@@ -44,6 +44,8 @@ DEFAULT_SAMPLE_RATE = 44100
 CROSSFADE_SECONDS = 0.005
 PITCH_MIN = -7
 PITCH_MAX = 4
+# the most frames a 16-bit mono WAV's 32-bit data size can hold
+WAV_MAX_FRAMES = 2**31 - 1
 
 _MAX_NFFT = 2048
 # output frames the phase vocoder works on at once: with 1025 bins, about
@@ -365,14 +367,16 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
 
 
 def read_wav(path: str | Path) -> AudioClip:
-    """Read a mono 16-bit PCM WAV file; anything else raises BadWav."""
+    """Read a mono 16-bit PCM WAV file; anything else, a 0 Hz rate or
+    data shorter than its header says raises BadWav."""
     try:
         with wave.open(str(path), "rb") as w:
             channels = w.getnchannels()
             width = w.getsampwidth()
             comp = w.getcomptype()
             rate = w.getframerate()
-            data = w.readframes(w.getnframes())
+            frames = w.getnframes()
+            data = w.readframes(frames)
     except (wave.Error, EOFError) as exc:
         raise BadWav(path, str(exc)) from None
     if comp != "NONE":
@@ -381,5 +385,9 @@ def read_wav(path: str | Path) -> AudioClip:
         raise BadWav(path, f"need mono, file has {channels} channels")
     if width != 2:
         raise BadWav(path, f"need 16-bit samples, file has {8 * width}-bit")
+    if rate == 0:
+        raise BadWav(path, "header gives a sample rate of 0 Hz")
+    if len(data) != 2 * frames:
+        raise BadWav(path, f"data cut short: {len(data)} of {2 * frames} bytes")
     samples = np.frombuffer(data, dtype="<i2").astype(np.int16)
     return AudioClip(samples, rate)

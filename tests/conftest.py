@@ -5,6 +5,7 @@ speller, and seeded random verse generators for the property suites."""
 from __future__ import annotations
 
 import random
+import struct
 import unicodedata
 
 import numpy as np
@@ -82,6 +83,14 @@ def sine_clip(
     samples = (amp * 32767.0 * np.sin(2.0 * np.pi * freq * t)).astype(np.int16)
     return AudioClip(samples, rate)
 
+
+def mono16_wav(rate: int, declared: int, payload: bytes) -> bytes:
+    """A hand-built mono 16-bit PCM WAV whose data chunk declares
+    ``declared`` bytes and holds ``payload``."""
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", declared) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 # ---------------------------------------------------------------------------
 # Random verse material.  Words are strings of onset+vowel groups with

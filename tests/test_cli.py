@@ -12,6 +12,7 @@ from versechant.dsp import read_wav
 
 from conftest import (
     Q1_UNITS, Q2_UNITS, Q3_UNITS, Q4_UNITS, Q1_T, Q1_V, SAMPLE_VERSE, iast_to_devanagari,
+    mono16_wav,
 )
 
 
@@ -213,6 +214,16 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
         pytest.param(
             ["scan", "vande", "--beat", "0.001"], 2, "crossfade", id="beat-under-crossfade"
         ),
+        # a beat under one frame, or a render past a WAV's 2^31 - 1 frames;
+        # both are refused before any audio is allocated
+        pytest.param(
+            ["synth", SAMPLE_VERSE, "{tmp}/o.wav", "--beat", "0.00001", "--no-crossfade"],
+            2, "beat", id="beat-under-one-frame",
+        ),
+        pytest.param(
+            ["synth", SAMPLE_VERSE, "{tmp}/o.wav", "--beat", "1e300"], 2,
+            "beat", id="beat-past-wav-size",
+        ),
         pytest.param(["scan", "vande", "--rate", "0"], 2, "sample rate", id="rate-zero"),
         pytest.param(
             ["scan", "vande", "--base-freq", "5000", "--rate", "8000"], 2,
@@ -264,10 +275,18 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
             ["synth", "vande", "{tmp}/missing/o.wav", "--no-require-metre"], 2,
             "No such file", id="synth-out-dir-missing",
         ),
+        # {tmp}/zero holds one take whose header says 0 Hz
+        pytest.param(
+            ["synth", "vande", "{tmp}/o.wav", "--no-require-metre",
+             "--clips", "{tmp}/zero"], 1,
+            "error [clips]: {tmp}/zero/van_g.wav: ", id="clips-zero-rate",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(argv, code, fragment, tmp_path):
     (tmp_path / "latin1.txt").write_bytes("vandé".encode("latin-1"))
+    (tmp_path / "zero").mkdir()
+    (tmp_path / "zero" / "van_g.wav").write_bytes(mono16_wav(0, 400, bytes(400)))
     got, out, err = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert got == code
     assert out == ""

@@ -29,7 +29,7 @@ from versechant.audio_store import ClipRequest, SyntheticVoice
 from versechant.errors import BadWav, SampleRateMismatch
 from versechant.prosody import Weight
 
-from conftest import fft_peak_hz, sine_clip
+from conftest import fft_peak_hz, mono16_wav, sine_clip
 
 
 def reference_concat(clips: list[AudioClip], crossfade: int) -> np.ndarray:
@@ -563,6 +563,25 @@ def test_read_wav_rejects_garbage(tmp_path):
     path.write_bytes(b"this is not audio at all")
     with pytest.raises(BadWav):
         read_wav(path)
+
+
+def test_read_wav_rejects_a_zero_rate(tmp_path):
+    path = tmp_path / "zero.wav"
+    path.write_bytes(mono16_wav(0, 400, bytes(400)))
+    with pytest.raises(BadWav, match="0 Hz"):
+        read_wav(path)
+
+
+def test_read_wav_rejects_truncated_data(tmp_path):
+    # cut off inside a sample, and cut off between samples
+    for payload in (bytes(3), bytes(4)):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(mono16_wav(44100, 2000, payload))
+        with pytest.raises(BadWav, match=f"cut short: {len(payload)} of 2000 bytes"):
+            read_wav(path)
+    # the same header over whole data reads
+    path.write_bytes(mono16_wav(44100, 2000, bytes(2000)))
+    assert read_wav(path).n_frames == 1000
 
 
 def test_read_wav_missing_file(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versechant.errors import MetreDbError, NoMatchingMetre
 from versechant.prosody import (
@@ -241,6 +243,52 @@ def test_classify_final_syllable_anceps():
     db = load_metre_db()
     relaxed = "11011001010"  # last syllable light
     assert classify_metre([relaxed] * 4, db).name == "Indravajrā"
+
+
+def outcome(patterns, db):
+    """The record classify_metre picks, or None when it raises."""
+    try:
+        return classify_metre(patterns, db)
+    except NoMatchingMetre:
+        return None
+
+
+def flip(pattern: str, at: int) -> str:
+    return pattern[:at] + "10"[int(pattern[at])] + pattern[at + 1 :]
+
+
+_QUARTER = st.one_of(
+    st.sampled_from(["11011001011", "01011001011", "10101010"]),
+    st.text("01", min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    patterns=st.lists(_QUARTER, min_size=3, max_size=5),
+    data=st.data(),
+)
+def test_classify_ignores_every_quarters_last_mark(patterns, data):
+    db = load_metre_db()
+    q = data.draw(st.integers(0, len(patterns) - 1))
+    changed = list(patterns)
+    changed[q] = flip(changed[q], len(changed[q]) - 1)
+    assert outcome(changed, db) == outcome(patterns, db)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_strict_records_match_their_own_pattern_and_no_flip_of_it(data):
+    db = load_metre_db()
+    strict = [r for r in db if r.pattern is not None]
+    assert {r.name for r in strict} == {"Indravajrā", "Upendravajrā"}
+    record = data.draw(st.sampled_from(strict))
+    patterns = list(record.pattern)
+    assert classify_metre(patterns, db) == record
+    q = data.draw(st.integers(0, 3))
+    at = data.draw(st.integers(0, len(patterns[q]) - 2))
+    patterns[q] = flip(patterns[q], at)
+    assert outcome(patterns, db) != record
 
 
 def test_classify_no_match():

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from versechant import audio_store, synthesis
 from versechant.alphabet import classify
-from versechant.audio_store import HARMONICS, ClipDirectory, ClipRequest, SyntheticVoice
+from versechant.audio_store import (
+    HARMONICS,
+    ClipDirectory,
+    ClipProvider,
+    ClipRequest,
+    SyntheticVoice,
+)
 from versechant.dsp import (
     beat_frames,
     concat,
@@ -252,6 +258,31 @@ def test_voice_sings_each_unit_at_its_pitch(monkeypatch):
     assert shifts == [0] * len(pitches)
 
 
+def test_every_provider_is_asked_at_the_units_pitch():
+    # a provider that declares nothing is still asked for each clip at
+    # its unit's pitch, and its clips go into the render unshifted
+    voice = SyntheticVoice()
+
+    class Recording(ClipProvider):
+        def __init__(self):
+            self.requests = []
+
+        def get_clip(self, request):
+            self.requests.append(request)
+            return voice.get_clip(request)
+
+    store = Recording()
+    result = synthesize(SAMPLE_VERSE, store=store)
+    units = [tu for q in result.plan.quarters for tu in q.timed]
+    assert len({tu.pitch for tu in units}) > 1
+    # one request per distinct (unit, weight, pitch), in grid order
+    want = dict.fromkeys((tu.unit.text, tu.render_beats - 1, tu.pitch) for tu in units)
+    asked = [(r.unit_text, int(r.weight), r.pitch) for r in store.requests]
+    assert asked == list(want)
+    fresh = synthesize(SAMPLE_VERSE, store=SyntheticVoice()).clip.samples
+    assert np.array_equal(result.clip.samples, fresh)
+
+
 def test_unpitched_render_is_unchanged():
     # every pitch is 0, so the render is the base-note render it was
     # before the voice sang at pitch (hash taken from that version)
@@ -382,6 +413,33 @@ def test_config_rejects_a_beat_that_is_not_a_number():
     for bad in ("0.5", None, True):
         with pytest.raises(ConfigError, match="beat"):
             Config(beat_seconds=bad)
+
+
+def test_config_rejects_a_beat_under_one_frame():
+    assert beat_frames(1, 1 / 44100, 44100) == 1
+    assert Config(beat_seconds=1 / 44100, crossfade=False).beat_seconds == 1 / 44100
+    with pytest.raises(ConfigError, match="shorter than one frame at 44100 Hz"):
+        Config(beat_seconds=1e-5, crossfade=False)
+    # with the crossfade on, its own check fires first
+    with pytest.raises(ConfigError, match="5 ms crossfade"):
+        Config(beat_seconds=1e-5)
+
+
+def test_synthesize_refuses_a_render_longer_than_a_wav_holds(monkeypatch):
+    # only beats whose render could not allocate even without the check;
+    # the product of beats, beat and rate is compared before it is
+    # rounded, so a product past the float range fails the same way
+    for beat in (1e300, 1e305):
+        config = Config(beat_seconds=beat)
+        assert prepare(SAMPLE_VERSE, config).total_beats == 75  # scan still works
+        with pytest.raises(ConfigError, match="frames a WAV file holds"):
+            synthesize(SAMPLE_VERSE, config)
+    # the bound itself: 75 half-second beats at 44.1 kHz are 1,653,750 frames
+    monkeypatch.setattr(synthesis, "WAV_MAX_FRAMES", 1_653_749)
+    with pytest.raises(ConfigError, match="75 beats of 0.5 s"):
+        synthesize(SAMPLE_VERSE)
+    monkeypatch.setattr(synthesis, "WAV_MAX_FRAMES", 1_653_750)
+    assert synthesize(SAMPLE_VERSE).plan.total_beats == 75
 
 
 def test_config_rejects_a_fractional_sample_rate():
