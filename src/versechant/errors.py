@@ -98,6 +98,16 @@ class ClipUnavailable(ChantError):
         super().__init__(f"no clip for unit {unit_text!r} ({weight_tag})")
 
 
+class BadClip(ChantError):
+    """A clip provider returned a clip of the wrong length or rate."""
+
+    def __init__(self, unit_text: str, weight_tag: str, pitch: int, detail: str):
+        self.unit_text = unit_text
+        self.weight_tag = weight_tag
+        self.pitch = pitch
+        super().__init__(f"clip for unit {unit_text!r} ({weight_tag}) at pitch {pitch}: {detail}")
+
+
 class BadWav(ChantError):
     """A WAV file could not be read in the supported format."""
 

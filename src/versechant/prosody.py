@@ -15,9 +15,10 @@ every quarter fills exactly its expected beats.
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -116,35 +117,35 @@ def pattern_string(weights: list[Weight]) -> str:
 class MetreRecord:
     """One metre: quarter shapes, rest positions, and pitch rows.
 
-    ``pattern`` is four 0/1 strings or None for count-only metres.
+    ``pattern`` holds each quarter's marks: ``0`` light, ``1`` heavy,
+    ``x`` either; a quarter may list alternatives separated by ``/``.
     ``pitch_q13`` scores quarters 1 and 3, ``pitch_q24`` quarters 2
     and 4; pitches are semitone offsets from the base note.  The shape
-    is checked at construction (``MetreDbError``), so a record's pitch
-    rows always fit its quarters.
+    is checked at construction (``MetreDbError``), so a record's marks
+    and pitch rows always fit its quarters.
     """
 
     name: str
     syllables: tuple[int, int, int, int]
-    pattern: tuple[str, str, str, str] | None
+    pattern: tuple[str, str, str, str]
     caesura: tuple[int, ...]
     pitch_q13: tuple[int, ...]
     pitch_q24: tuple[int, ...]
 
     def __post_init__(self):
-        name, syllables = self.name, self.syllables
+        name, syllables, pattern = self.name, self.syllables, self.pattern
         if len(syllables) != 4:
             raise MetreDbError(f"{name}: syllables needs 4 counts, got {len(syllables)}")
-        pattern = self.pattern
-        if pattern is not None:
-            if len(pattern) != 4:
-                raise MetreDbError(f"{name}: pattern needs 4 quarters, got {len(pattern)}")
-            for q, tok in enumerate(pattern):
-                if set(tok) - {"0", "1"}:
-                    raise MetreDbError(f"{name}: pattern quarter {q + 1} is not binary")
-                if len(tok) != syllables[q]:
+        if min(syllables) < 1:
+            raise MetreDbError(f"{name}: every quarter needs a syllable, got {syllables}")
+        if len(pattern) != 4:
+            raise MetreDbError(f"{name}: pattern needs 4 quarters, got {len(pattern)}")
+        for q, marks in enumerate(pattern):
+            for alt in marks.split("/"):
+                if len(alt) != syllables[q] or set(alt) - set("01x"):
                     raise MetreDbError(
-                        f"{name}: pattern quarter {q + 1} has {len(tok)} marks "
-                        f"for {syllables[q]} syllables"
+                        f"{name}: pattern quarter {q + 1}: {alt!r} is not "
+                        f"{syllables[q]} marks of 0, 1 or x"
                     )
         for p in self.caesura:
             if not 1 <= p <= max(syllables):
@@ -162,14 +163,6 @@ class MetreRecord:
     def pitch_array(self, quarter: int) -> tuple[int, ...]:
         """Pitch row for quarter index 0..3."""
         return self.pitch_q13 if quarter % 2 == 0 else self.pitch_q24
-
-    def caesura_positions(self, quarter: int) -> tuple[int, ...]:
-        """1-based unit positions after which a rest falls; the
-        quarter end is always included."""
-        n = self.syllables[quarter]
-        positions = {p for p in self.caesura if p <= n}
-        positions.add(n)
-        return tuple(sorted(positions))
 
 
 def _parse_int_list(value: str, where: str) -> tuple[int, ...]:
@@ -220,7 +213,8 @@ def _build_record(block: dict[str, str]) -> MetreRecord:
         pitch_q24 = _parse_int_list(block["pitch_q24"], "pitch_q24")
     except KeyError as exc:
         raise MetreDbError(f"record missing required key {exc.args[0]!r}") from None
-    pattern = tuple(block["pattern"].split()) if "pattern" in block else None
+    all_x = " ".join("x" * n for n in syllables)
+    pattern = tuple(block.get("pattern", all_x).split())
     caesura = _parse_int_list(block.get("caesura", ""), "caesura")
     return MetreRecord(name, syllables, pattern, caesura, pitch_q13, pitch_q24)
 
@@ -254,23 +248,26 @@ def _records(text: str) -> tuple[MetreRecord, ...]:
     return records
 
 
+@lru_cache(maxsize=64)
+def _quarter_rule(marks: str) -> re.Pattern:
+    # one regex alternative per mark alternative; x and the last mark match any weight
+    return re.compile("|".join(alt[:-1].replace("x", ".") + "." for alt in marks.split("/")))
+
+
 def classify_metre(
     patterns: list[str], db: Sequence[MetreRecord]
 ) -> MetreRecord:
     """Find the first metre the observed quarters fit.
 
-    ``patterns`` holds one 0/1 string per quarter.  The final syllable
-    of each quarter is anceps: it matches either mark.  Records
-    without a pattern match on syllable counts alone.
+    ``patterns`` holds one 0/1 string per quarter.  A record fits when
+    its syllable counts agree and, in every quarter, every mark but the
+    last (anceps) is ``x`` or equals the weight, under some alternative.
     """
-    counts = [len(p) for p in patterns]
+    counts = tuple(len(p) for p in patterns)
     for record in db:
-        if tuple(counts) != record.syllables:
-            continue
-        if record.pattern is None:
-            return record
-        # last syllable of a quarter is anceps
-        if all(obs[:-1] == want[:-1] for obs, want in zip(patterns, record.pattern)):
+        if counts == record.syllables and all(
+            _quarter_rule(marks).fullmatch(obs) for obs, marks in zip(patterns, record.pattern)
+        ):
             return record
     raise NoMatchingMetre(counts, patterns)
 
@@ -287,10 +284,11 @@ class VerseAnalysis:
     metre: MetreRecord | None
 
     def caesuras(self, quarter: int) -> tuple[int, ...]:
-        """1-based rest positions; just the quarter end without a metre."""
-        if self.metre is None:
-            return (len(self.quarters[quarter]),)
-        return self.metre.caesura_positions(quarter)
+        """1-based positions after which a one-beat rest falls: the
+        metre's caesuras within the quarter, plus the quarter end."""
+        n = len(self.quarters[quarter])
+        caesura = self.metre.caesura if self.metre is not None else ()
+        return tuple(sorted({p for p in caesura if p <= n} | {n}))
 
 
 def _slice_by_counts(units: list[Unit], counts) -> list[list[Unit]]:

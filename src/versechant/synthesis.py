@@ -37,7 +37,7 @@ from .dsp import (
     silence,
     write_wav,
 )
-from .errors import ChantError, ConfigError, EmptyVerse
+from .errors import BadClip, ChantError, ConfigError, EmptyVerse
 from .prosody import TimedUnit, VerseAnalysis, Weight, analyze_quarters, load_metre_db
 from .sandhi import apply_all
 from .transliteration import detect_devanagari, devanagari_to_latin, split_quarters, tokenize
@@ -141,6 +141,17 @@ def _stage(name: str, quarter: int | None = None):
         raise
 
 
+def _check_clip(clip: AudioClip, request: ClipRequest, rate: int) -> None:
+    """Raise ``BadClip`` unless the clip has the rate and length the
+    ``ClipProvider`` contract asks of it."""
+    want = request.n_frames(rate)
+    if clip.sample_rate != rate or clip.n_frames != want:
+        raise BadClip(
+            request.unit_text, request.weight.tag, request.pitch,
+            f"{clip.n_frames} frames at {clip.sample_rate} Hz, not {want} at {rate} Hz",
+        )
+
+
 def split_text(text: str) -> list[list[Unit]]:
     """The front end: verse text to syllabic units, one list per quarter.
 
@@ -201,7 +212,9 @@ def synthesize(
     the metre's pitch, as the ``ClipProvider`` contract has the store
     sing it, or a rest of silence.  Each distinct clip request, pitch
     included, goes to the store once per render, so a recorded take is
-    read and vocoded at most once per (unit, weight, beat, pitch).
+    read and vocoded at most once per (unit, weight, beat, pitch), and
+    its clip is checked once: a clip off the contract's rate or length
+    raises ``BadClip``.
     Without a store or a ``clip_dir``, the store is the process's synthetic voice
     (``audio_store.default_voice``), whose parts outlive the render.  A
     render longer than a WAV file holds (``dsp.WAV_MAX_FRAMES``) raises
@@ -234,6 +247,7 @@ def synthesize(
                     clip = clips.get(request)
                     if clip is None:
                         clip = clips[request] = store.get_clip(request)
+                        _check_clip(clip, request, rate)
                 # a no-op the benchmark still wraps and times as its pitch layer
                 pieces.append(pitch_shift(clip, 0))
         clip = concat(pieces, xf)

@@ -146,13 +146,22 @@ def test_pitch_rows_map_to_quarters():
 
 
 def test_caesura_positions_include_quarter_end():
-    db = {r.name: r for r in load_metre_db()}
-    assert db["Anuṣṭup"].caesura_positions(0) == (8,)
+    analysis = analyze_quarters(quarter_units(" | ".join(["ka" * 8] * 4)), load_metre_db())
+    assert analysis.metre.name == "Anuṣṭup"
+    assert analysis.caesuras(0) == (8,)
     record = parse_metre_db(
         "name: x\nsyllables: 11 11 11 11\ncaesura: 5\n"
         "pitch_q13: 0 0 0 0 0 0 0 0 0 0 0\npitch_q24: 0 0 0 0 0 0 0 0 0 0 0\n"
     )[0]
-    assert record.caesura_positions(0) == (5, 11)
+    analysis = analyze_quarters(quarter_units(SAMPLE_VERSE), [record])
+    assert analysis.caesuras(0) == (5, 11)
+    # a caesura past a quarter's end is not one of its rests
+    record = parse_metre_db(
+        "name: y\nsyllables: 11 8 11 8\ncaesura: 9\n"
+        "pitch_q13: 0 0 0 0 0 0 0 0 0 0 0\npitch_q24: 0 0 0 0 0 0 0 0\n"
+    )[0]
+    analysis = analyze_quarters(quarter_units(" | ".join(["ka" * 11, "ka" * 8] * 2)), [record])
+    assert [analysis.caesuras(q) for q in range(4)] == [(9, 11), (8,)] * 2
 
 
 def test_db_parse_comments_and_blank_lines():
@@ -163,7 +172,7 @@ def test_db_parse_comments_and_blank_lines():
     records = parse_metre_db(text)
     assert len(records) == 1
     assert records[0].name == "m"
-    assert records[0].pattern is None
+    assert records[0].pattern == ("xx",) * 4
 
 
 @pytest.mark.parametrize(
@@ -185,10 +194,16 @@ def test_db_parse_comments_and_blank_lines():
             "pattern",
         ),
         (
-            "name: m\nsyllables: 2 2 2 2\npattern: 10 10 10 1x\n"
+            "name: m\nsyllables: 2 2 2 2\npattern: 10 10 10 1y\n"
             "pitch_q13: 0 1\npitch_q24: 0 1",
-            "binary",
+            "marks of 0, 1 or x",
         ),
+        (
+            "name: m\nsyllables: 2 2 2 2\npattern: 10 10 10 1x/0\n"
+            "pitch_q13: 0 1\npitch_q24: 0 1",
+            "'0' is not 2 marks",
+        ),
+        ("name: m\nsyllables: 0 2 0 2\npitch_q13:\npitch_q24: 0 1", "needs a syllable"),
         ("name: m\nname: n\nsyllables: 2 2 2 2", "duplicate"),
         ("just words without a colon", "key"),
     ],
@@ -205,12 +220,14 @@ def test_db_parse_errors(text, fragment):
         (dict(pitch_q13=(0,)), "pitch_q13 length"),
         (dict(pitch_q24=(0, 9)), "pitch 9 outside"),
         (dict(syllables=(2, 2, 2)), "4 counts"),
+        (dict(syllables=(0, 2, 0, 2), pitch_q13=()), "needs a syllable"),
+        (dict(pattern=("xx", "xx", "xx", "x1/1y")), "'1y' is not 2 marks"),
     ],
-    ids=["short-pitch-row", "pitch-out-of-range", "three-counts"],
+    ids=["short-pitch-row", "pitch-out-of-range", "three-counts", "empty-quarter", "bad-mark"],
 )
 def test_hand_built_record_checks_its_shape(fields, fragment):
     good = dict(
-        name="m", syllables=(2, 2, 2, 2), pattern=None, caesura=(),
+        name="m", syllables=(2, 2, 2, 2), pattern=("xx",) * 4, caesura=(),
         pitch_q13=(0, 1), pitch_q24=(1, 0),
     )
     MetreRecord(**good)
@@ -280,7 +297,7 @@ def test_classify_ignores_every_quarters_last_mark(patterns, data):
 @given(data=st.data())
 def test_strict_records_match_their_own_pattern_and_no_flip_of_it(data):
     db = load_metre_db()
-    strict = [r for r in db if r.pattern is not None]
+    strict = [r for r in db if not set("".join(r.pattern)) & set("x/")]
     assert {r.name for r in strict} == {"Indravajrā", "Upendravajrā"}
     record = data.draw(st.sampled_from(strict))
     patterns = list(record.pattern)
@@ -289,6 +306,117 @@ def test_strict_records_match_their_own_pattern_and_no_flip_of_it(data):
     at = data.draw(st.integers(0, len(patterns[q]) - 2))
     patterns[q] = flip(patterns[q], at)
     assert outcome(patterns, db) != record
+
+
+def fits(patterns, record) -> bool:
+    """The match rule, spelt out: the counts agree, and in each quarter
+    some alternative has no fixed mark but the last that differs from
+    the weight under it."""
+    if tuple(len(p) for p in patterns) != record.syllables:
+        return False
+    return all(
+        any(
+            all(mark == "x" or mark == weight for mark, weight in zip(alt[:-1], obs))
+            for alt in marks.split("/")
+        )
+        for obs, marks in zip(patterns, record.pattern)
+    )
+
+
+@st.composite
+def records(draw):
+    """A record of 1-6 syllables a quarter (quarters 1 and 3 alike, as
+    are 2 and 4, to share a pitch row), each quarter 1-3 alternatives
+    of random marks."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=2, max_size=2)) * 2
+    pattern = tuple(
+        "/".join(draw(st.lists(st.text("01x", min_size=n, max_size=n), min_size=1, max_size=3)))
+        for n in counts
+    )
+    return MetreRecord("r", tuple(counts), pattern, (), (0,) * counts[0], (0,) * counts[1])
+
+
+@st.composite
+def patterns_near(draw, record):
+    """Observed quarters close to the record: each one of its
+    alternatives with x filled at random and maybe one mark flipped,
+    or a random 0/1 string, of the record's count or one off."""
+    patterns = []
+    for n, marks in zip(record.syllables, record.pattern):
+        kind = draw(st.sampled_from(["alternative"] * 3 + ["flipped", "random"]))
+        if kind == "random":
+            size = draw(st.sampled_from([n, n, max(1, n - 1), n + 1]))
+            patterns.append(draw(st.text("01", min_size=size, max_size=size)))
+            continue
+        alt = draw(st.sampled_from(marks.split("/")))
+        obs = "".join(draw(st.sampled_from("01")) if m == "x" else m for m in alt)
+        if kind == "flipped":
+            obs = flip(obs, draw(st.integers(0, n - 1)))
+        patterns.append(obs)
+    return patterns
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_record_fits_exactly_when_every_fixed_mark_but_the_last_agrees(data):
+    record = data.draw(records())
+    patterns = data.draw(patterns_near(record))
+    assert (outcome(patterns, [record]) == record) == fits(patterns, record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 12), min_size=2, max_size=2).map(lambda c: c * 2),
+    patterns=st.lists(st.text("01", min_size=1, max_size=12), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_a_record_without_pattern_classifies_like_its_all_x_twin(counts, patterns, data):
+    # half the time the observed counts are the record's own
+    if data.draw(st.booleans()):
+        patterns = [(p * n)[:n] for p, n in zip(patterns, counts)]
+    rows = " ".join(["0"] * counts[0]), " ".join(["0"] * counts[1])
+    body = f"syllables: {' '.join(map(str, counts))}\npitch_q13: {rows[0]}\npitch_q24: {rows[1]}\n"
+    all_x = " ".join("x" * n for n in counts)
+    (bare,) = parse_metre_db("name: bare\n" + body)
+    (twin,) = parse_metre_db(f"name: twin\npattern: {all_x}\n" + body)
+    assert bare.pattern == twin.pattern
+    matched = outcome(patterns, [bare]), outcome(patterns, [twin])
+    assert (matched[0] is None) == (matched[1] is None)
+
+
+def vajra_shaped(quarter: str) -> bool:
+    """Indravajrā or Upendravajrā: the first and last marks free."""
+    return len(quarter) == 11 and quarter[1:10] == "101100101"
+
+
+_ELEVEN = st.one_of(
+    st.builds(
+        lambda first, last: first + "101100101" + last,
+        st.sampled_from("01"), st.sampled_from("01"),
+    ),
+    st.builds(
+        lambda first, last, at: flip(first + "101100101" + last, at),
+        st.sampled_from("01"), st.sampled_from("01"), st.integers(1, 9),
+    ),
+    st.text("01", min_size=11, max_size=11),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(_ELEVEN, min_size=4, max_size=4))
+def test_eleven_by_four_is_a_vajra_metre_exactly_when_each_quarter_is_vajra_shaped(patterns):
+    record = outcome(patterns, load_metre_db())
+    vajra = record is not None and record.name in {"Indravajrā", "Upendravajrā", "Upajāti"}
+    assert vajra == all(vajra_shaped(q) for q in patterns)
+
+
+def test_eleven_light_units_a_quarter_are_no_upajati():
+    verse = " | ".join(["ka" * 11] * 4)
+    with pytest.raises(NoMatchingMetre):
+        analyze_quarters(quarter_units(verse), load_metre_db())
+    analysis = analyze_quarters(quarter_units(verse), load_metre_db(), require_metre=False)
+    assert analysis.metre is None
+    assert pitches(analysis) == [(0,) * 11] * 4
 
 
 def test_classify_no_match():

@@ -21,6 +21,7 @@ from versechant.audio_store import (
     SyntheticVoice,
 )
 from versechant.dsp import (
+    AudioClip,
     beat_frames,
     concat,
     crossfade_frames,
@@ -30,6 +31,7 @@ from versechant.dsp import (
     write_wav,
 )
 from versechant.errors import (
+    BadClip,
     ChantError,
     ConfigError,
     EmptyVerse,
@@ -281,6 +283,37 @@ def test_every_provider_is_asked_at_the_units_pitch():
     assert asked == list(want)
     fresh = synthesize(SAMPLE_VERSE, store=SyntheticVoice()).clip.samples
     assert np.array_equal(result.clip.samples, fresh)
+
+
+@pytest.mark.parametrize(
+    "bend, detail",
+    [
+        (lambda clip: AudioClip(clip.samples[:-1000], 44100), "43100 frames at 44100 Hz, not"),
+        (lambda clip: AudioClip(clip.samples, 22050), "at 22050 Hz, not"),
+    ],
+    ids=["trimmed", "wrong-rate"],
+)
+def test_a_clip_off_the_provider_contract_is_an_error(bend, detail):
+    # the first clip sung at pitch 2 breaks the contract: the render
+    # stops there and the error names that unit, weight and pitch
+    voice = SyntheticVoice()
+
+    class Bent(ClipProvider):
+        def __init__(self):
+            self.asked = []
+
+        def get_clip(self, request):
+            self.asked.append(request.unit_text)
+            clip = voice.get_clip(request)
+            return bend(clip) if request.pitch == 2 else clip
+
+    store = Bent()
+    with pytest.raises(BadClip) as info:
+        synthesize(SAMPLE_VERSE, store=store)
+    assert info.value.stage == "clips"
+    assert str(info.value).startswith("clip for unit 'rū' (g) at pitch 2: ")
+    assert detail in str(info.value)
+    assert store.asked == ["van", "de", "gu", "rū"]
 
 
 def test_unpitched_render_is_unchanged():
