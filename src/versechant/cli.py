@@ -49,10 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory of recorded unit clips named <unit>_<l|g>.wav",
     )
     common.add_argument(
-        "--no-crossfade", action="store_true",
-        help="hard joins instead of the 5 ms crossfade",
-    )
-    common.add_argument(
         "--promote-prbrkrh", action="store_true",
         help="let pr/br/kr clusters and lone h lengthen the syllable before",
     )
@@ -96,7 +92,6 @@ def _config(args: argparse.Namespace) -> Config:
         beat_seconds=args.beat,
         sample_rate=args.rate,
         base_freq=args.base_freq,
-        crossfade=not args.no_crossfade,
         promote_light_clusters=args.promote_prbrkrh,
         metre_db_path=args.metre_db,
         clip_dir=args.clips,

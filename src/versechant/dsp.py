@@ -97,8 +97,9 @@ def beat_frames(beats: float, beat_seconds: float, sample_rate: int) -> int:
     return int(round(beats * beat_seconds * sample_rate))
 
 
-def silence(beats: float, beat_seconds: float, sample_rate: int) -> AudioClip:
-    n = beat_frames(beats, beat_seconds, sample_rate)
+def silence(beats: float, beat_seconds: float, sample_rate: int, tail: int = 0) -> AudioClip:
+    """Zeros for ``beats`` beats plus ``tail`` frames to fade under the next span."""
+    n = beat_frames(beats, beat_seconds, sample_rate) + tail
     return AudioClip(np.zeros(n, dtype=np.int16), sample_rate)
 
 
@@ -106,18 +107,17 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     """Join clips end to end.
 
     With ``crossfade`` > 0 each join overlaps that many frames with an
-    equal-power fade, so every join shortens the result by exactly
-    ``crossfade`` frames (less when a clip is shorter than the fade).
+    equal-power fade: the last ``crossfade`` frames of one clip fade
+    out under the first ``crossfade`` frames of the next, so every join
+    shortens the result by exactly ``crossfade`` frames.  No frame is
+    faded twice: a clip other than the last shorter than two
+    crossfades, or a last clip shorter than one, raises ``ValueError``.
     All clips must share one sample rate.
 
     Runs in linear time over one int16 buffer of exactly the joined
     length: each clip's samples are copied into it once, and only a
-    join's overlap frames are computed in float and quantized.  The
-    float values of the last ``crossfade`` merged frames are carried
-    from join to join, so a fade that reaches back across a clip
-    shorter than two crossfades re-fades the values an earlier fade
-    made, not their int16 roundings.  A frame outside every overlap is
-    its own sample, as x / 32768 * 32768 is exact.
+    join's overlap frames are computed in float and quantized.  A frame
+    outside every overlap is its own sample.
     """
     if not clips:
         return AudioClip(np.zeros(0, dtype=np.int16), DEFAULT_SAMPLE_RATE)
@@ -127,30 +127,23 @@ def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:
     rate = clips[0].sample_rate
     if crossfade <= 0:
         return AudioClip(np.concatenate([c.samples for c in clips]), rate)
+    lengths = [c.n_frames for c in clips]
+    if min(lengths[:-1], default=2 * crossfade) < 2 * crossfade or lengths[-1] < crossfade:
+        raise ValueError(f"a clip is too short for its {crossfade}-frame crossfades")
 
-    overlaps, total = [], 0
-    for clip in clips:
-        overlaps.append(min(crossfade, total, clip.n_frames))
-        total += clip.n_frames - overlaps[-1]
-    out = np.empty(total, dtype=np.int16)
-    fades: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    end = 0  # frames merged so far
-    carry = np.zeros(0)  # float values of out[end - len(carry) : end]
-    for clip, xf in zip(clips, overlaps):
+    out = np.empty(sum(lengths) - crossfade * (len(clips) - 1), dtype=np.int16)
+    t = (np.arange(crossfade) + 0.5) / crossfade
+    fade_out, fade_in = np.cos(t * np.pi / 2), np.sin(t * np.pi / 2)
+    out[: lengths[0]] = clips[0].samples
+    end = lengths[0]  # frames merged so far
+    for clip in clips[1:]:
         nxt = clip.samples
-        out[end : end + len(nxt) - xf] = nxt[xf:]
-        faded = carry[len(carry) - xf :]
-        if xf:
-            if xf not in fades:
-                t = (np.arange(xf) + 0.5) / xf
-                fades[xf] = (np.cos(t * np.pi / 2), np.sin(t * np.pi / 2))
-            fade_out, fade_in = fades[xf]
-            faded = faded * fade_out
-            faded += (nxt[:xf] / 32768.0) * fade_in
-            out[end - xf : end] = _to_int16(faded)
-        end += len(nxt) - xf
-        tail = nxt[max(xf, len(nxt) - crossfade) :] / 32768.0
-        carry = np.concatenate([carry[: len(carry) - xf], faded, tail])[-crossfade:]
+        # the previous clip's tail, untouched by any fade yet
+        lap = out[end - crossfade : end] / 32768.0 * fade_out
+        lap += (nxt[:crossfade] / 32768.0) * fade_in
+        out[end - crossfade : end] = _to_int16(lap)
+        out[end : end + len(nxt) - crossfade] = nxt[crossfade:]
+        end += len(nxt) - crossfade
     return AudioClip(out, rate)
 
 
@@ -368,19 +361,17 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
 
 def read_wav(path: str | Path) -> AudioClip:
     """Read a mono 16-bit PCM WAV file; anything else, a 0 Hz rate or
-    data shorter than its header says raises BadWav."""
+    data shorter than its header says raises BadWav.  ``wave`` reads
+    only PCM, so a compressed format fails as it opens."""
     try:
         with wave.open(str(path), "rb") as w:
             channels = w.getnchannels()
             width = w.getsampwidth()
-            comp = w.getcomptype()
             rate = w.getframerate()
             frames = w.getnframes()
             data = w.readframes(frames)
     except (wave.Error, EOFError) as exc:
         raise BadWav(path, str(exc)) from None
-    if comp != "NONE":
-        raise BadWav(path, f"compressed WAV ({comp}) not supported")
     if channels != 1:
         raise BadWav(path, f"need mono, file has {channels} channels")
     if width != 2:

@@ -52,7 +52,6 @@ class Config:
     beat_seconds: float = 0.5
     sample_rate: int = DEFAULT_SAMPLE_RATE
     base_freq: float = 220.0
-    crossfade: bool = True
     promote_light_clusters: bool = False
     metre_db_path: str | Path | None = None
     clip_dir: str | Path | None = None
@@ -64,8 +63,8 @@ class Config:
             raise ConfigError(f"beat must be a positive number of seconds, got {beat!r}")
         check_sample_rate(rate)
         check_base_freq(freq, rate)
-        if self.crossfade and beat * rate < crossfade_frames(rate):
-            # each join would eat more than a whole one-beat piece
+        if beat * rate < crossfade_frames(rate):
+            # a one-beat piece would be shorter than the tail it overlaps
             raise ConfigError(f"a beat of {beat} s is shorter than the 5 ms crossfade")
         if beat * rate <= 0.5:  # beat_frames would round one beat to no frame
             raise ConfigError(f"a beat of {beat} s is shorter than one frame at {rate} Hz")
@@ -210,7 +209,10 @@ def synthesize(
 
     Each quarter's slots are rendered in grid order: a unit's clip at
     the metre's pitch, as the ``ClipProvider`` contract has the store
-    sing it, or a rest of silence.  Each distinct clip request, pitch
+    sing it, or a rest of silence.  Every piece but the last is its
+    slot plus one crossfade, a tail that fades under the next slot, so
+    each slot starts on its beat and the render is exactly the sum of
+    its slots' ``beat_frames``.  Each distinct clip request, pitch
     included, goes to the store once per render, so a recorded take is
     read and vocoded at most once per (unit, weight, beat, pitch), and
     its clip is checked once: a clip off the contract's rate or length
@@ -233,14 +235,14 @@ def synthesize(
         store = ClipDirectory(config.clip_dir, rate)
     elif store is None:
         store = default_voice(config.base_freq, rate)
-    xf = crossfade_frames(rate) if config.crossfade else 0
+    xf = crossfade_frames(rate)
     clips: dict[ClipRequest, AudioClip] = {}
     with _stage("render"):
         pieces: list[AudioClip] = []
         for quarter in plan.quarters:
             for tu, beats in quarter.slots():
                 if tu is None:
-                    pieces.append(silence(beats, beat, rate))
+                    pieces.append(silence(beats, beat, rate, tail=xf))
                     continue
                 request = ClipRequest(tu.unit.text, Weight(beats - 1), beat, tu.pitch)
                 with _stage("clips"):
@@ -250,6 +252,9 @@ def synthesize(
                         _check_clip(clip, request, rate)
                 # a no-op the benchmark still wraps and times as its pitch layer
                 pieces.append(pitch_shift(clip, 0))
+        # the last piece, the last quarter's end rest, has no slot to fade under
+        last = pieces[-1].samples
+        pieces[-1] = AudioClip(last[: len(last) - xf], rate)
         clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:

@@ -1,6 +1,7 @@
-"""Shared fixtures: frozen oracle values, an independent spectral-peak
-estimator, a voice that records its requests, an IAST-to-Devanagari
-speller, and seeded random verse generators for the property suites."""
+"""Shared fixtures: frozen oracle values, the join oracle, an
+independent spectral-peak estimator, a voice that records its
+requests, an IAST-to-Devanagari speller, and seeded random verse
+generators for the property suites."""
 
 from __future__ import annotations
 
@@ -82,6 +83,23 @@ def sine_clip(
     t = np.arange(int(round(seconds * rate))) / rate
     samples = (amp * 32767.0 * np.sin(2.0 * np.pi * freq * t)).astype(np.int16)
     return AudioClip(samples, rate)
+
+
+def reference_concat(clips: list[AudioClip], crossfade: int) -> np.ndarray:
+    """The quadratic join concat once used: the whole merged float
+    buffer is rebuilt at every join.  Kept as the oracle for concat and
+    for whole renders."""
+    merged = clips[0].samples.astype(np.float64) / 32768.0
+    for clip in clips[1:]:
+        nxt = clip.samples.astype(np.float64) / 32768.0
+        xf = min(crossfade, len(merged), len(nxt))
+        if xf == 0:
+            merged = np.concatenate([merged, nxt])
+            continue
+        t = (np.arange(xf) + 0.5) / xf
+        overlap = merged[-xf:] * np.cos(t * np.pi / 2) + nxt[:xf] * np.sin(t * np.pi / 2)
+        merged = np.concatenate([merged[:-xf], overlap, nxt[xf:]])
+    return np.clip(np.rint(merged * 32768.0), -32768, 32767).astype(np.int16)
 
 
 def mono16_wav(rate: int, declared: int, payload: bytes) -> bytes:

@@ -19,7 +19,14 @@ from versechant.audio_store import (
     SyntheticVoice,
     check_base_freq,
 )
-from versechant.dsp import PITCH_MAX, PITCH_MIN, pitch_shift, write_wav
+from versechant.dsp import (
+    PITCH_MAX,
+    PITCH_MIN,
+    AudioClip,
+    crossfade_frames,
+    pitch_shift,
+    write_wav,
+)
 from versechant.errors import BadWav, ClipUnavailable, ConfigError
 from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
@@ -29,7 +36,8 @@ from conftest import SAMPLE_VERSE, CountingVoice, fft_peak_hz, peak_bin, sine_cl
 
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
-    return int(round((int(weight) + 1) * beat * rate))
+    """The unit's beats plus the crossfade tail that fades under the next slot."""
+    return int(round((int(weight) + 1) * beat * rate)) + crossfade_frames(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +666,13 @@ def test_bad_wav_in_directory(tmp_path):
     (tmp_path / "ha_l.wav").write_bytes(b"RIFFgarbage")
     store = ClipDirectory(tmp_path)
     with pytest.raises(BadWav):
+        store.get_clip(ClipRequest("ha", Weight.LAGHU, 0.5))
+
+
+def test_empty_take_in_directory(tmp_path):
+    write_wav(AudioClip(np.zeros(0, dtype=np.int16), 44100), tmp_path / "ha_l.wav")
+    store = ClipDirectory(tmp_path)
+    with pytest.raises(BadWav, match="ha_l.wav: clip holds no samples"):
         store.get_clip(ClipRequest("ha", Weight.LAGHU, 0.5))
 
 

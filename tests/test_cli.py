@@ -91,21 +91,30 @@ def test_synth_writes_wav(tmp_path):
     assert "metre: Upajāti" in err
     clip = read_wav(out_path)
     assert clip.sample_rate == 44100
-    # 75 beats at 0.25 s, minus the crossfade take
-    assert 0 < clip.n_frames <= int(75 * 0.25 * 44100)
+    # 75 beats at 0.25 s: the crossfades take no frames
+    assert clip.n_frames == 75 * 11025
 
 
-def test_synth_no_crossfade_exact(tmp_path):
+def test_synth_exact_length(tmp_path):
     # beat of 0.2 s at 22050 Hz is a whole 4410 frames, so no rounding
     out_path = tmp_path / "chant.wav"
     code, _, _ = run_cli(
-        ["synth", SAMPLE_VERSE, str(out_path), "--beat", "0.2", "--no-crossfade",
-         "--rate", "22050"]
+        ["synth", SAMPLE_VERSE, str(out_path), "--beat", "0.2", "--rate", "22050"]
     )
     assert code == 0
     clip = read_wav(out_path)
     assert clip.sample_rate == 22050
     assert clip.n_frames == 75 * 4410
+
+
+def test_no_crossfade_is_a_usage_error(tmp_path):
+    # every render crossfades its joins; the flag that turned that off is gone
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as info, redirect_stderr(err):
+        main(["synth", SAMPLE_VERSE, str(tmp_path / "o.wav"), "--no-crossfade"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-crossfade" in err.getvalue()
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_empty_input_is_usage_error(monkeypatch):
@@ -180,7 +189,7 @@ def test_clips_flag(tmp_path):
     out_path = tmp_path / "out.wav"
     code, _, _ = run_cli(
         ["synth", "vande", str(out_path), "--clips", str(tmp_path),
-         "--no-require-metre", "--no-crossfade"]
+         "--no-require-metre"]
     )
     assert code == 0
     clip = read_wav(out_path)
@@ -214,11 +223,13 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
         pytest.param(
             ["scan", "vande", "--beat", "0.001"], 2, "crossfade", id="beat-under-crossfade"
         ),
-        # a beat under one frame, or a render past a WAV's 2^31 - 1 frames;
-        # both are refused before any audio is allocated
+        # a beat under one frame (at 100 Hz, where the crossfade rounds to
+        # none), or a render past a WAV's 2^31 - 1 frames; both are refused
+        # before any audio is allocated
         pytest.param(
-            ["synth", SAMPLE_VERSE, "{tmp}/o.wav", "--beat", "0.00001", "--no-crossfade"],
-            2, "beat", id="beat-under-one-frame",
+            ["synth", SAMPLE_VERSE, "{tmp}/o.wav", "--beat", "0.004", "--rate", "100",
+             "--base-freq", "5"],
+            2, "shorter than one frame at 100 Hz", id="beat-under-one-frame",
         ),
         pytest.param(
             ["synth", SAMPLE_VERSE, "{tmp}/o.wav", "--beat", "1e300"], 2,
@@ -241,7 +252,7 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
         ),
         pytest.param(["units", "||"], 1, "[input]", id="units-empty-verse"),
         pytest.param(["scan", "||"], 1, "[input]", id="scan-empty-verse"),
-        # {tmp} is a directory holding only latin1.txt
+        # {tmp} is a directory of the files the test writes below
         pytest.param(
             ["scan", "vande", "--metre-db", "{tmp}/missing.txt"], 2,
             "No such file", id="metre-db-missing",
@@ -275,11 +286,32 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
             ["synth", "vande", "{tmp}/missing/o.wav", "--no-require-metre"], 2,
             "No such file", id="synth-out-dir-missing",
         ),
-        # {tmp}/zero holds one take whose header says 0 Hz
+        # {tmp}/zero holds one take whose header says 0 Hz, {tmp}/empty
+        # one take of no samples
         pytest.param(
             ["synth", "vande", "{tmp}/o.wav", "--no-require-metre",
              "--clips", "{tmp}/zero"], 1,
             "error [clips]: {tmp}/zero/van_g.wav: ", id="clips-zero-rate",
+        ),
+        pytest.param(
+            ["synth", "vande", "{tmp}/o.wav", "--no-require-metre",
+             "--clips", "{tmp}/empty"], 1,
+            "error [clips]: {tmp}/empty/van_g.wav: clip holds no samples",
+            id="clips-empty-take",
+        ),
+        # malformed metre databases, each a pipeline error
+        pytest.param(
+            ["scan", "vande", "--metre-db", "{tmp}/caesura.txt"], 1,
+            "error [metre]: m: caesura position 3 out of range", id="metre-db-caesura",
+        ),
+        pytest.param(
+            ["scan", "vande", "--metre-db", "{tmp}/count.txt"], 1,
+            "error [metre]: syllables: expected integers, got '2 2 two 2'",
+            id="metre-db-count",
+        ),
+        pytest.param(
+            ["scan", "vande", "--metre-db", "{tmp}/none.txt"], 1,
+            "error [metre]: metre database holds no records", id="metre-db-no-records",
         ),
     ],
 )
@@ -287,6 +319,14 @@ def test_bad_input_is_one_error_line(argv, code, fragment, tmp_path):
     (tmp_path / "latin1.txt").write_bytes("vandé".encode("latin-1"))
     (tmp_path / "zero").mkdir()
     (tmp_path / "zero" / "van_g.wav").write_bytes(mono16_wav(0, 400, bytes(400)))
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "van_g.wav").write_bytes(mono16_wav(44100, 0, b""))
+    db = "name: m\nsyllables: 2 2 2 2\npitch_q13: 0 1\npitch_q24: 0 1\n"
+    (tmp_path / "caesura.txt").write_text(db + "caesura: 3\n", encoding="utf-8")
+    (tmp_path / "count.txt").write_text(
+        db.replace("2 2 2 2", "2 2 two 2"), encoding="utf-8"
+    )
+    (tmp_path / "none.txt").write_text("# no records here\n", encoding="utf-8")
     got, out, err = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert got == code
     assert out == ""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 import tracemalloc
 import wave
 
@@ -29,23 +30,7 @@ from versechant.audio_store import ClipRequest, SyntheticVoice
 from versechant.errors import BadWav, SampleRateMismatch
 from versechant.prosody import Weight
 
-from conftest import fft_peak_hz, mono16_wav, sine_clip
-
-
-def reference_concat(clips: list[AudioClip], crossfade: int) -> np.ndarray:
-    """The quadratic join concat once used: the whole merged float
-    buffer is rebuilt at every join.  Kept as the oracle."""
-    merged = clips[0].samples.astype(np.float64) / 32768.0
-    for clip in clips[1:]:
-        nxt = clip.samples.astype(np.float64) / 32768.0
-        xf = min(crossfade, len(merged), len(nxt))
-        if xf == 0:
-            merged = np.concatenate([merged, nxt])
-            continue
-        t = (np.arange(xf) + 0.5) / xf
-        overlap = merged[-xf:] * np.cos(t * np.pi / 2) + nxt[:xf] * np.sin(t * np.pi / 2)
-        merged = np.concatenate([merged[:-xf], overlap, nxt[xf:]])
-    return np.clip(np.rint(merged * 32768.0), -32768, 32767).astype(np.int16)
+from conftest import fft_peak_hz, mono16_wav, reference_concat, sine_clip
 
 
 def reference_stretch(x: np.ndarray, n_out: int) -> np.ndarray:
@@ -177,14 +162,6 @@ def quantize(y: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(y * 32768.0), -32768, 32767).astype(np.int16)
 
 
-def joined_length(lengths: list[int], crossfade: int) -> int:
-    """Each join consumes min(crossfade, merged so far, next clip)."""
-    total = lengths[0]
-    for n in lengths[1:]:
-        total += n - min(crossfade, total, n)
-    return total
-
-
 def traced_peak(fn) -> int:
     """Peak bytes allocated while fn runs, numpy's buffers included, as
     tracemalloc sees them."""
@@ -239,12 +216,17 @@ def test_concat_crossfade_consumes_per_join():
 
 
 def test_concat_crossfade_short_clip():
-    # a clip shorter than the fade consumes only its own length
+    # a fade never reaches back across a clip into an earlier fade: each
+    # clip but the last needs two crossfades of frames, the last one
     a = sine_clip(440, 0.1)
-    tiny = AudioClip(np.ones(40, dtype=np.int16), 44100)
-    b = sine_clip(440, 0.1)
-    joined = concat([a, tiny, b], crossfade=150)
-    assert joined.n_frames == a.n_frames + 40 + b.n_frames - 40 - 150
+
+    def cut(n):
+        return AudioClip(a.samples[:n], 44100)
+
+    assert concat([a, cut(300), cut(150)], crossfade=150).n_frames == 4410 + 150
+    for clips in ([a, cut(299), a], [a, cut(149)], [cut(299), a], [cut(149)]):
+        with pytest.raises(ValueError, match="too short for its 150-frame crossfades"):
+            concat(clips, crossfade=150)
 
 
 def test_crossfade_is_smooth():
@@ -256,22 +238,31 @@ def test_crossfade_is_smooth():
 
 
 _samples = st.one_of(st.sampled_from([-32768, -32767, 0, 32767]), st.integers(-32768, 32767))
-_clips = st.lists(
-    arrays(np.int16, st.integers(0, 600), elements=_samples).map(
-        lambda a: AudioClip(a, 44100)
-    ),
-    min_size=1,
-    max_size=12,
-)
+
+
+@st.composite
+def _joinable(draw):
+    """A crossfade and clips concat accepts for it: each clip but the
+    last at least two crossfades long, the last at least one."""
+    xf = draw(st.integers(0, 300))
+    n = draw(st.integers(1, 12))
+    lows = [2 * xf] * (n - 1) + [xf]
+    clips = [
+        AudioClip(draw(arrays(np.int16, st.integers(low, low + 600), elements=_samples)), 44100)
+        for low in lows
+    ]
+    return clips, xf
 
 
 @settings(max_examples=150, deadline=None)
-@given(clips=_clips, crossfade=st.integers(0, 300))
-def test_concat_matches_reference(clips, crossfade):
+@given(joinable=_joinable())
+def test_concat_matches_reference(joinable):
+    clips, crossfade = joinable
     joined = concat(clips, crossfade=crossfade)
     assert joined.sample_rate == 44100
     assert np.array_equal(joined.samples, reference_concat(clips, crossfade))
-    assert joined.n_frames == joined_length([c.n_frames for c in clips], crossfade)
+    want = sum(c.n_frames for c in clips) - crossfade * (len(clips) - 1)
+    assert joined.n_frames == want
 
 
 def long_flat_pieces() -> list[AudioClip]:
@@ -562,6 +553,16 @@ def test_read_wav_rejects_garbage(tmp_path):
     path = tmp_path / "not.wav"
     path.write_bytes(b"this is not audio at all")
     with pytest.raises(BadWav):
+        read_wav(path)
+
+
+def test_read_wav_rejects_a_compressed_wav(tmp_path):
+    # an A-law WAV (format tag 6): a valid header for a format not read
+    path = tmp_path / "alaw.wav"
+    wav = bytearray(mono16_wav(8000, 4, bytes(4)))
+    wav[20:22] = struct.pack("<H", 6)
+    path.write_bytes(bytes(wav))
+    with pytest.raises(BadWav, match="unknown format: 6"):
         read_wav(path)
 
 

@@ -121,6 +121,13 @@ def test_bundled_db_pitch_tables():
             assert all(-7 <= p <= 4 for p in row)
 
 
+def test_db_without_records_is_an_error(tmp_path):
+    path = tmp_path / "none.txt"
+    path.write_text("# comments only\n\n", encoding="utf-8")
+    with pytest.raises(MetreDbError, match="holds no records"):
+        load_metre_db(path)
+
+
 def test_bundled_db_parsed_once_custom_db_read_each_call(tmp_path):
     db = load_metre_db()
     assert isinstance(db, tuple) and load_metre_db() is db
@@ -205,6 +212,11 @@ def test_db_parse_comments_and_blank_lines():
         ),
         ("name: m\nsyllables: 0 2 0 2\npitch_q13:\npitch_q24: 0 1", "needs a syllable"),
         ("name: m\nname: n\nsyllables: 2 2 2 2", "duplicate"),
+        (
+            "name: m\nsyllables: 2 2 2 2\ncaesura: 3\npitch_q13: 0 1\npitch_q24: 0 1",
+            "caesura position 3 out of range",
+        ),
+        ("name: m\nsyllables: 2 2 two 2", "syllables: expected integers"),
         ("just words without a colon", "key"),
     ],
 )

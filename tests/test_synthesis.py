@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from versechant import audio_store, synthesis
@@ -23,11 +23,9 @@ from versechant.audio_store import (
 from versechant.dsp import (
     AudioClip,
     beat_frames,
-    concat,
     crossfade_frames,
     pitch_shift,
     read_wav,
-    silence,
     write_wav,
 )
 from versechant.errors import (
@@ -56,6 +54,7 @@ from conftest import (
     CountingVoice,
     peak_bin,
     random_text,
+    reference_concat,
 )
 
 
@@ -156,19 +155,12 @@ def test_prepare_unmatched_verse():
     assert plan.quarters[0].caesuras == (len(plan.quarters[0].timed),)
 
 
-def test_synthesize_duration_no_crossfade():
-    config = Config(crossfade=False)
-    result = synthesize(SAMPLE_VERSE, config)
-    want = int(round(result.plan.total_beats * 0.5 * 44100))
-    assert result.clip.n_frames == want
-
-
 def test_synthesize_duration_with_crossfade():
+    # each piece's crossfade tail fades under the next slot, so the
+    # crossfades cost no frames: 75 beats of 0.5 s at 44.1 kHz exactly
     result = synthesize(SAMPLE_VERSE, Config())
-    xf = crossfade_frames(44100)
-    want = int(round(result.plan.total_beats * 0.5 * 44100))
-    assert result.joins == sum(len(q.slots()) for q in result.plan.quarters) - 1
-    assert abs(want - result.clip.n_frames) <= result.joins * xf
+    assert result.joins == sum(len(q.slots()) for q in result.plan.quarters) - 1 == 47
+    assert result.clip.n_frames == result.plan.total_beats * 22050 == 1_653_750
 
 
 def test_synthesize_writes_wav(tmp_path):
@@ -182,15 +174,32 @@ def test_synthesize_writes_wav(tmp_path):
 
 def test_beat_and_rate_scale_duration():
     # 0.2 s at 22050 Hz keeps every beat a whole 4410 frames
-    config = Config(beat_seconds=0.2, sample_rate=22050, crossfade=False)
+    config = Config(beat_seconds=0.2, sample_rate=22050)
     result = synthesize(SAMPLE_VERSE, config)
     assert result.clip.n_frames == result.plan.total_beats * 4410
     assert result.clip.sample_rate == 22050
 
 
+def grid_pieces(plan, store, beat: float = 0.5, rate: int = 44100) -> list[AudioClip]:
+    """The render's pieces, built here from the plan's slots: a fresh
+    clip from ``store`` per chanted slot, and zeros of the rest's beats
+    plus one crossfade per rest; the last piece loses its tail."""
+    xf = crossfade_frames(rate)
+    pieces = []
+    for quarter in plan.quarters:
+        for tu, beats in quarter.slots():
+            if tu is None:
+                pieces.append(np.zeros(beat_frames(beats, beat, rate) + xf, np.int16))
+            else:
+                request = ClipRequest(tu.unit.text, Weight(beats - 1), beat, tu.pitch)
+                pieces.append(store.get_clip(request).samples)
+    pieces[-1] = pieces[-1][: len(pieces[-1]) - xf]
+    return [AudioClip(p, rate) for p in pieces]
+
+
 def test_zero_pitch_equals_plain_concatenation(tmp_path):
-    # a metre db with all-zero pitch rows must reproduce the raw
-    # unpitched clip sequence exactly
+    # a metre db with all-zero pitch rows must reproduce the crossfaded
+    # sequence of unpitched clips and rests exactly
     db = tmp_path / "flat.txt"
     db.write_text(
         "name: flat\nsyllables: 11 11 11 11\ncaesura: 11\n"
@@ -198,20 +207,12 @@ def test_zero_pitch_equals_plain_concatenation(tmp_path):
         "pitch_q24: 0 0 0 0 0 0 0 0 0 0 0\n",
         encoding="utf-8",
     )
-    config = Config(metre_db_path=db, crossfade=False)
-    rendered = synthesize(SAMPLE_VERSE, config).clip
-
-    voice = SyntheticVoice(config.base_freq, config.sample_rate)
-    pieces = []
-    for quarter in prepare(SAMPLE_VERSE, config).quarters:
-        for tu in quarter.timed:
-            req = ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), 0.5)
-            pieces.append(voice.get_clip(req))
-            if tu.trailing_silence_beats:
-                pieces.append(silence(tu.trailing_silence_beats, 0.5, 44100))
-        pieces.append(silence(1, 0.5, 44100))
-    want = concat(pieces)
-    assert np.array_equal(rendered.samples, want.samples)
+    config = Config(metre_db_path=db)
+    result = synthesize(SAMPLE_VERSE, config)
+    assert {tu.pitch for q in result.plan.quarters for tu in q.timed} == {0}
+    pieces = grid_pieces(result.plan, SyntheticVoice(config.base_freq, config.sample_rate))
+    want = reference_concat(pieces, crossfade_frames(44100))
+    assert np.array_equal(result.clip.samples, want)
 
 
 def record_takes(directory, plan, rate: int = 44100, beat: float = 0.5) -> None:
@@ -226,7 +227,7 @@ def record_takes(directory, plan, rate: int = 44100, beat: float = 0.5) -> None:
 
 
 def test_synthesize_from_clip_directory(tmp_path):
-    config = Config(crossfade=False, require_metre=False)
+    config = Config(require_metre=False)
     record_takes(tmp_path, prepare("vande gurūṇām", config))
     config = replace(config, clip_dir=tmp_path)
     result = synthesize("vande gurūṇām", config)
@@ -288,7 +289,7 @@ def test_every_provider_is_asked_at_the_units_pitch():
 @pytest.mark.parametrize(
     "bend, detail",
     [
-        (lambda clip: AudioClip(clip.samples[:-1000], 44100), "43100 frames at 44100 Hz, not"),
+        (lambda clip: AudioClip(clip.samples[:-1000], 44100), "43320 frames at 44100 Hz, not 44320"),
         (lambda clip: AudioClip(clip.samples, 22050), "at 22050 Hz, not"),
     ],
     ids=["trimmed", "wrong-rate"],
@@ -317,26 +318,31 @@ def test_a_clip_off_the_provider_contract_is_an_error(bend, detail):
 
 
 def test_unpitched_render_is_unchanged():
-    # every pitch is 0, so the render is the base-note render it was
-    # before the voice sang at pitch (hash taken from that version)
+    # every pitch is 0; the render is the oracle join of fresh clips and
+    # rests (hash taken when clips gained their crossfade tail)
     config = Config(require_metre=False)
     result = synthesize("vande gurūṇāṃ caraṇāravinde sandarśitasvātmasukhāvabodhe", config)
     assert {tu.pitch for q in result.plan.quarters for tu in q.timed} == {0}
-    assert result.clip.n_frames == 811010
+    want = reference_concat(grid_pieces(result.plan, SyntheticVoice()), 220)
+    assert np.array_equal(result.clip.samples, want)
+    assert result.clip.n_frames == result.plan.total_beats * 22050 == 815_850
     assert sha256(result.clip) == (
-        "5e04553b0898c81f776b84bff03c7b957b0491f063afa1224ac7951a9330f846"
+        "99f87544e2f885005165f2662b8843bb7d21bc938d15ddc6f859c0a18c39ebd6"
     )
 
 
 def test_short_beat_render_is_unchanged():
-    # a one-beat piece of 265 frames is shorter than two 220-frame
-    # crossfades, so a fade reaches back across it into the frames the
-    # fade before wrote (hash taken while the join still built a float
-    # copy of the whole render)
-    result = synthesize(SAMPLE_VERSE, Config(beat_seconds=0.006))
-    assert result.clip.n_frames == 9508
+    # the shortest whole-frame beat: 40 frames at 8 kHz, as long as the
+    # crossfade, so each one-beat piece is exactly two crossfades and
+    # every frame of it fades (hash taken when clips gained their tail)
+    config = Config(sample_rate=8000, beat_seconds=0.005)
+    result = synthesize(SAMPLE_VERSE, config)
+    assert crossfade_frames(8000) == beat_frames(1, 0.005, 8000) == 40
+    want = reference_concat(grid_pieces(result.plan, SyntheticVoice(220.0, 8000), 0.005, 8000), 40)
+    assert np.array_equal(result.clip.samples, want)
+    assert result.clip.n_frames == 75 * 40
     assert sha256(result.clip) == (
-        "30a6ecc4a6066fb0399cf5afd7355c46a3cb8230545d7cf64c2d6c3c8e16f1b5"
+        "972bcbfbf7938108ddd8ffef62be85af17fe866518427adcb8c0995dda59bd40"
     )
 
 
@@ -359,7 +365,7 @@ def test_recorded_takes_sing_at_pitch_like_the_vocoder(tmp_path, monkeypatch):
     # vocoder's pitch shift; a pitched clip matches the two-pass clip
     # (the base-note clip shifted by pitch_shift) in length and peak bin,
     # for exact takes at the engine rate and 10% long ones at half of it
-    config = Config(crossfade=False)
+    config = Config()
     plan = prepare(SAMPLE_VERSE, config)
     shifts = record_shifts(monkeypatch)
     served = record_clips(monkeypatch)
@@ -383,16 +389,18 @@ def test_recorded_takes_sing_at_pitch_like_the_vocoder(tmp_path, monkeypatch):
 
 def test_unpitched_recorded_render_is_unchanged(tmp_path):
     # every pitch is 0 and the takes are 10% long at 22.05 kHz, so each
-    # is resampled and stretched as before takes sang at pitch (hash taken
-    # from that version)
+    # is resampled and stretched; the render is the oracle join of fresh
+    # reads and rests (hash taken when clips gained their crossfade tail)
     text = "vande gurūṇāṃ caraṇāravinde sandarśitasvātmasukhāvabodhe"
     config = Config(require_metre=False)
     record_takes(tmp_path, prepare(text, config), rate=22050, beat=0.55)
     result = synthesize(text, replace(config, clip_dir=tmp_path))
     assert {tu.pitch for q in result.plan.quarters for tu in q.timed} == {0}
-    assert result.clip.n_frames == 811010
+    want = reference_concat(grid_pieces(result.plan, ClipDirectory(tmp_path)), 220)
+    assert np.array_equal(result.clip.samples, want)
+    assert result.clip.n_frames == result.plan.total_beats * 22050 == 815_850
     assert sha256(result.clip) == (
-        "af320ad691b4a84b469ae9fa15db2b19875868da6ae832c0e8a980c49ba0c07d"
+        "3ddcd262f32de4258d7bfd9d92c72fc4413bf4ffbb62634aa0ac017c83058f94"
     )
 
 
@@ -414,9 +422,9 @@ def test_each_take_is_stretched_once_per_request_off_its_slot(tmp_path, monkeypa
 
     def off(key) -> bool:
         text, beats, pitch = key
-        take = beat_frames(beats, 0.55, 22050)
+        take = beat_frames(beats, 0.55, 22050) + crossfade_frames(22050)
         read = round(take * 44100 / (22050 * 2 ** (pitch / 12)))
-        slot = beat_frames(beats, 0.5, 44100)
+        slot = beat_frames(beats, 0.5, 44100) + crossfade_frames(44100)
         return abs(read - slot) / slot >= 0.05
 
     pieces = [
@@ -449,11 +457,14 @@ def test_config_rejects_a_beat_that_is_not_a_number():
 
 
 def test_config_rejects_a_beat_under_one_frame():
-    assert beat_frames(1, 1 / 44100, 44100) == 1
-    assert Config(beat_seconds=1 / 44100, crossfade=False).beat_seconds == 1 / 44100
-    with pytest.raises(ConfigError, match="shorter than one frame at 44100 Hz"):
-        Config(beat_seconds=1e-5, crossfade=False)
-    # with the crossfade on, its own check fires first
+    # at 100 Hz the 5 ms crossfade rounds to no frame, so only this
+    # check keeps a beat from rounding to none
+    assert crossfade_frames(100) == 0
+    assert beat_frames(1, 1 / 100, 100) == 1
+    assert Config(beat_seconds=1 / 100, sample_rate=100, base_freq=5).beat_seconds == 1 / 100
+    with pytest.raises(ConfigError, match="shorter than one frame at 100 Hz"):
+        Config(beat_seconds=0.004, sample_rate=100, base_freq=5)
+    # where the crossfade spans frames, its own check fires first
     with pytest.raises(ConfigError, match="5 ms crossfade"):
         Config(beat_seconds=1e-5)
 
@@ -508,9 +519,7 @@ def test_config_rejects_aliasing_base_freq():
 @settings(max_examples=40, deadline=None)
 @given(rng=st.randoms(use_true_random=False), n_lines=st.integers(1, 4))
 def test_beat_grid_slots_and_frames(rng, n_lines):
-    config = Config(
-        require_metre=False, crossfade=False, sample_rate=8000, beat_seconds=0.02
-    )
+    config = Config(require_metre=False, sample_rate=8000, beat_seconds=0.02)
     text = "\n".join(random_text(rng) for _ in range(n_lines))
     result = synthesize(text, config)
     # an unmetred render still pitches a text that happens to fit a metre
@@ -533,6 +542,43 @@ def test_beat_grid_slots_and_frames(rng, n_lines):
         slots.extend(quarter.slots())
     assert result.clip.n_frames == sum(beat_frames(b, 0.02, 8000) for _, b in slots)
     assert result.joins == len(slots) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n_lines=st.integers(1, 3),
+    rate=st.integers(8000, 24000),
+    extra=st.integers(0, 200),
+)
+def test_every_slot_starts_on_its_beat(rng, n_lines, rate, extra):
+    # a whole-frame beat of at least one crossfade: the render is exactly
+    # its slots' frames, and between the fades at its two ends each
+    # chanted slot holds its clip's own samples, from its onset on
+    xf = crossfade_frames(rate)
+    beat = (xf + extra) / rate
+    assume(beat * rate >= xf)  # a quotient one ulp short fails Config's check
+    config = Config(require_metre=False, sample_rate=rate, beat_seconds=beat)
+    voice = SyntheticVoice(config.base_freq, rate)
+    served = {}
+
+    class Serving(ClipProvider):
+        def get_clip(self, request):
+            served[request] = voice.get_clip(request)
+            return served[request]
+
+    text = "\n".join(random_text(rng) for _ in range(n_lines))
+    result = synthesize(text, config, store=Serving())
+    slots = [slot for quarter in result.plan.quarters for slot in quarter.slots()]
+    frames = [beat_frames(beats, beat, rate) for _, beats in slots]
+    assert result.clip.n_frames == sum(frames) == result.plan.total_beats * (xf + extra)
+    onset = 0
+    for (tu, beats), n in zip(slots, frames):
+        if tu is not None:
+            clip = served[ClipRequest(tu.unit.text, Weight(beats - 1), beat, tu.pitch)]
+            body = result.clip.samples[onset + xf : onset + n]
+            assert np.array_equal(body, clip.samples[xf:n])
+        onset += n
 
 
 _VERSE_CHARS = st.sampled_from(
