@@ -1,9 +1,9 @@
 """Per-unit audio clips: a deterministic synthetic voice and a
 directory of recorded clips.
 
-A clip request names a unit's text, its weight, the beat length and
-the pitch in semitones; ``ClipProvider`` states what clip a provider
-hands back for it.  The synthetic voice sings the clip at
+A clip request names a unit's text, its weight, the frames its clip
+fills and the pitch in semitones; ``ClipProvider`` states what clip a
+provider hands back for it.  The synthetic voice sings the clip at
 base_freq · 2^(pitch/12); a directory of recorded takes (files named
 ``<unit_text>_<l|g>.wav``) reads its take 2^(pitch/12) times faster in
 one resampling pass, then fits the read to the slot, so a take goes
@@ -42,7 +42,6 @@ renders of metred verses keep about 4.7 MB of parts; an unmetred
 from __future__ import annotations
 
 import functools
-import math
 import mmap
 import numbers
 import threading
@@ -61,8 +60,6 @@ from .dsp import (
     PITCH_MIN,
     AudioClip,
     _to_int16,
-    beat_frames,
-    crossfade_frames,
     read_wav,
     resample,
     stretch_to_length,
@@ -113,30 +110,23 @@ def check_base_freq(base_freq: float, sample_rate: int) -> None:
 class ClipRequest:
     unit_text: str
     weight: Weight
-    beat_seconds: float
+    n_frames: int  # the clip's length at the engine rate
     pitch: int = 0  # semitones above the base note
 
     def __post_init__(self):
-        beat, pitch = self.beat_seconds, self.pitch
-        if not (is_number(beat) and math.isfinite(beat) and beat > 0):
-            raise ValueError("beat_seconds must be positive and finite")
+        n, pitch = self.n_frames, self.pitch
+        if not (is_number(n, numbers.Integral) and n > 0):
+            raise ValueError(f"n_frames must be a positive whole number, got {n!r}")
         if not (is_number(pitch) and PITCH_MIN <= pitch <= PITCH_MAX and pitch == int(pitch)):
             raise ValueError(
                 f"pitch {pitch} is not a whole number in {PITCH_MIN}..{PITCH_MAX}"
             )
 
-    def n_frames(self, sample_rate: int) -> int:
-        """Weight + 1 beats in frames plus one crossfade, the tail that
-        fades under the next slot: the one length every provider's clip has."""
-        beats = beat_frames(int(self.weight) + 1, self.beat_seconds, sample_rate)
-        return beats + crossfade_frames(sample_rate)
-
 
 class ClipProvider(ABC):
     """Source of unit clips.  ``get_clip`` returns the unit sung at
-    ``request.pitch``, exactly ``request.n_frames(rate)`` frames long at
-    the engine rate: its beats, then one crossfade that fades under the
-    next slot, so the renderer starts every clip on its beat.
+    ``request.pitch``, exactly ``request.n_frames`` frames at the engine
+    rate; the renderer decides that length from the beat grid.
     Each call builds or loads the clip anew; the renderer memoizes whole
     clips, so providers keep no clips.  A synthetic voice does keep the
     parts its clips share (phasor tables, burst noise and bursts),
@@ -334,7 +324,7 @@ class SyntheticVoice(ClipProvider):
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
         rate, pitch = self.sample_rate, request.pitch
-        n = request.n_frames(rate)
+        n = request.n_frames
         stream = tokenize(request.unit_text)
         vowel_at = next(
             (i for i, letter in enumerate(stream.letters) if letter.is_vowel), None
@@ -418,7 +408,7 @@ class ClipDirectory(ClipProvider):
         if clip.n_frames == 0:
             raise BadWav(path, "clip holds no samples")
         clip = resample(clip, self.sample_rate, request.pitch)
-        expected = request.n_frames(self.sample_rate)
+        expected = request.n_frames
         got = clip.n_frames
         if got == expected:
             return clip

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ChantError, ConfigError, UndecodableFile
+from .errors import ChantError, ConfigError, EmptyVerse, UndecodableFile
 from .synthesis import Config, prepare, split_text, synthesize
 
 
@@ -142,9 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = _read_text(args.text)
-        if not text.strip():
-            print("error: empty verse text", file=sys.stderr)
-            return 2
         config = _config(args)
         if args.command == "scan":
             code = _cmd_scan(text, config)
@@ -154,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             code = _cmd_synth(text, config, args.out)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except (ConfigError, UndecodableFile) as exc:
+    except (ConfigError, EmptyVerse, UndecodableFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChantError as exc:

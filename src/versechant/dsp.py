@@ -91,16 +91,9 @@ def crossfade_frames(sample_rate: int) -> int:
     return int(round(CROSSFADE_SECONDS * sample_rate))
 
 
-def beat_frames(beats: float, beat_seconds: float, sample_rate: int) -> int:
-    """Frames in a span of ``beats`` beats: the one place a beat span
-    becomes a frame count, for unit clips and rests alike."""
-    return int(round(beats * beat_seconds * sample_rate))
-
-
-def silence(beats: float, beat_seconds: float, sample_rate: int, tail: int = 0) -> AudioClip:
-    """Zeros for ``beats`` beats plus ``tail`` frames to fade under the next span."""
-    n = beat_frames(beats, beat_seconds, sample_rate) + tail
-    return AudioClip(np.zeros(n, dtype=np.int16), sample_rate)
+def silence(n_frames: int, sample_rate: int) -> AudioClip:
+    """``n_frames`` frames of zeros."""
+    return AudioClip(np.zeros(n_frames, dtype=np.int16), sample_rate)
 
 
 def concat(clips: list[AudioClip], crossfade: int = 0) -> AudioClip:

@@ -44,6 +44,15 @@ from .transliteration import detect_devanagari, devanagari_to_latin, split_quart
 from .units import Unit, split_into_units
 
 
+def beat_frames(beats: int, beat_seconds: float, sample_rate: int) -> int:
+    """Frames in a slot of ``beats`` beats: the one place the beat grid
+    becomes frames, for ``Config``'s checks, the WAV bound, rests and
+    clip requests alike.  A span past what a WAV file holds comes back
+    as ``WAV_MAX_FRAMES + 1``, so no product is too large to round."""
+    span = beats * beat_seconds * sample_rate
+    return int(round(span)) if span <= WAV_MAX_FRAMES else WAV_MAX_FRAMES + 1
+
+
 @dataclass(frozen=True)
 class Config:
     """Rendering settings, validated once at construction and frozen,
@@ -63,10 +72,14 @@ class Config:
             raise ConfigError(f"beat must be a positive number of seconds, got {beat!r}")
         check_sample_rate(rate)
         check_base_freq(freq, rate)
-        if beat * rate < crossfade_frames(rate):
-            # a one-beat piece would be shorter than the tail it overlaps
-            raise ConfigError(f"a beat of {beat} s is shorter than the 5 ms crossfade")
-        if beat * rate <= 0.5:  # beat_frames would round one beat to no frame
+        # a one-beat slot, rounded as the render rounds it
+        one = beat_frames(1, beat, rate)
+        if one < crossfade_frames(rate):
+            # its piece would be shorter than the tail it overlaps
+            raise ConfigError(
+                f"a beat of {beat} s rounds to fewer frames than the 5 ms crossfade"
+            )
+        if one < 1:
             raise ConfigError(f"a beat of {beat} s is shorter than one frame at {rate} Hz")
 
 
@@ -143,7 +156,7 @@ def _stage(name: str, quarter: int | None = None):
 def _check_clip(clip: AudioClip, request: ClipRequest, rate: int) -> None:
     """Raise ``BadClip`` unless the clip has the rate and length the
     ``ClipProvider`` contract asks of it."""
-    want = request.n_frames(rate)
+    want = request.n_frames
     if clip.sample_rate != rate or clip.n_frames != want:
         raise BadClip(
             request.unit_text, request.weight.tag, request.pitch,
@@ -163,10 +176,9 @@ def split_text(text: str) -> list[list[Unit]]:
         if detect_devanagari(text):
             text = devanagari_to_latin(text)
         chunks = split_quarters(text)
-    if not chunks:
-        err = EmptyVerse()
-        err.stage = "input"
-        raise err
+    with _stage("input"):
+        if not chunks:
+            raise EmptyVerse()
 
     quarter_units: list[list[Unit]] = []
     for q, chunk in enumerate(chunks, start=1):
@@ -210,13 +222,13 @@ def synthesize(
     Each quarter's slots are rendered in grid order: a unit's clip at
     the metre's pitch, as the ``ClipProvider`` contract has the store
     sing it, or a rest of silence.  Every piece but the last is its
-    slot plus one crossfade, a tail that fades under the next slot, so
-    each slot starts on its beat and the render is exactly the sum of
-    its slots' ``beat_frames``.  Each distinct clip request, pitch
-    included, goes to the store once per render, so a recorded take is
-    read and vocoded at most once per (unit, weight, beat, pitch), and
-    its clip is checked once: a clip off the contract's rate or length
-    raises ``BadClip``.
+    slot's ``beat_frames`` plus one crossfade, a tail that fades under
+    the next slot, so each slot starts on its beat and the render is
+    exactly the sum of its slots' frames.  Each distinct clip request,
+    pitch included, goes to the store once per render, so a recorded
+    take is read and vocoded at most once per (unit, weight, frames,
+    pitch), and its clip is checked once: a clip off the contract's
+    rate or length raises ``BadClip``.
     Without a store or a ``clip_dir``, the store is the process's synthetic voice
     (``audio_store.default_voice``), whose parts outlive the render.  A
     render longer than a WAV file holds (``dsp.WAV_MAX_FRAMES``) raises
@@ -225,8 +237,9 @@ def synthesize(
     config = config if config is not None else Config()
     plan = prepare(text, config)
     beat, rate = config.beat_seconds, config.sample_rate
-    # compared as a float, so a product too large to round fails here too
-    if plan.total_beats * beat * rate > WAV_MAX_FRAMES:
+    slots = [slot for quarter in plan.quarters for slot in quarter.slots()]
+    frames = [beat_frames(beats, beat, rate) for _, beats in slots]
+    if sum(frames) > WAV_MAX_FRAMES:
         raise ConfigError(
             f"{plan.total_beats} beats of {beat} s are more than the "
             f"{WAV_MAX_FRAMES} frames a WAV file holds"
@@ -236,25 +249,25 @@ def synthesize(
     elif store is None:
         store = default_voice(config.base_freq, rate)
     xf = crossfade_frames(rate)
+    # each piece is its slot plus a tail that fades under the next slot;
+    # the last, the last quarter's end rest, has no slot to fade under
+    lengths = [n + xf for n in frames]
+    lengths[-1] -= xf
     clips: dict[ClipRequest, AudioClip] = {}
     with _stage("render"):
         pieces: list[AudioClip] = []
-        for quarter in plan.quarters:
-            for tu, beats in quarter.slots():
-                if tu is None:
-                    pieces.append(silence(beats, beat, rate, tail=xf))
-                    continue
-                request = ClipRequest(tu.unit.text, Weight(beats - 1), beat, tu.pitch)
-                with _stage("clips"):
-                    clip = clips.get(request)
-                    if clip is None:
-                        clip = clips[request] = store.get_clip(request)
-                        _check_clip(clip, request, rate)
-                # a no-op the benchmark still wraps and times as its pitch layer
-                pieces.append(pitch_shift(clip, 0))
-        # the last piece, the last quarter's end rest, has no slot to fade under
-        last = pieces[-1].samples
-        pieces[-1] = AudioClip(last[: len(last) - xf], rate)
+        for (tu, beats), n in zip(slots, lengths):
+            if tu is None:
+                pieces.append(silence(n, rate))
+                continue
+            request = ClipRequest(tu.unit.text, Weight(beats - 1), n, tu.pitch)
+            with _stage("clips"):
+                clip = clips.get(request)
+                if clip is None:
+                    clip = clips[request] = store.get_clip(request)
+                    _check_clip(clip, request, rate)
+            # a no-op the benchmark still wraps and times as its pitch layer
+            pieces.append(pitch_shift(clip, 0))
         clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:

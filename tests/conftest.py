@@ -1,7 +1,8 @@
 """Shared fixtures: frozen oracle values, the join oracle, an
 independent spectral-peak estimator, a voice that records its
-requests, an IAST-to-Devanagari speller, and seeded random verse
-generators for the property suites."""
+requests, the clip request a render makes for a unit, an
+IAST-to-Devanagari speller, and seeded random verse generators for the
+property suites."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import unicodedata
 
 import numpy as np
 
-from versechant.audio_store import SyntheticVoice
-from versechant.dsp import AudioClip
+from versechant.audio_store import ClipRequest, SyntheticVoice
+from versechant.dsp import AudioClip, crossfade_frames
+from versechant.synthesis import beat_frames
 
 # The worked sample verse.  Quarter-1 unit and weight values below were
 # fixed by hand before the pipeline existed and must never be edited to
@@ -63,6 +65,13 @@ def fft_peak_hz(samples: np.ndarray, rate: int) -> float:
 def peak_bin(samples: np.ndarray) -> int:
     """The strongest bin of the signal's plain magnitude rfft."""
     return int(np.argmax(np.abs(np.fft.rfft(samples))))
+
+
+def beat_request(text, weight, beat: float, pitch: int = 0, rate: int = 44100) -> ClipRequest:
+    """The request a render at ``beat`` and ``rate`` makes for a unit of
+    this weight: its weight + 1 beats in frames plus one crossfade."""
+    n = beat_frames(int(weight) + 1, beat, rate) + crossfade_frames(rate)
+    return ClipRequest(text, weight, n, pitch)
 
 
 class CountingVoice(SyntheticVoice):

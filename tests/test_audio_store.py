@@ -32,7 +32,14 @@ from versechant.prosody import Weight
 from versechant.synthesis import Config, synthesize
 from versechant.transliteration import tokenize
 
-from conftest import SAMPLE_VERSE, CountingVoice, fft_peak_hz, peak_bin, sine_clip
+from conftest import (
+    SAMPLE_VERSE,
+    CountingVoice,
+    beat_request,
+    fft_peak_hz,
+    peak_bin,
+    sine_clip,
+)
 
 
 def expected_frames(weight: Weight, beat: float, rate: int = 44100) -> int:
@@ -107,10 +114,10 @@ def top_base_freq(rate: int) -> float:
 def test_synth_clip_rejects_aliasing_base_freq():
     # the bound holds for direct calls too, not only through Config
     with pytest.raises(ConfigError, match="base frequency"):
-        SyntheticVoice(1500.0, 8000).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
+        SyntheticVoice(1500.0, 8000).get_clip(beat_request("ā", Weight.GURU, 0.5, rate=8000))
     # under rate/8, but a +4 shift would lift the 4th harmonic to 4989 Hz
     with pytest.raises(ConfigError, match="base frequency"):
-        SyntheticVoice(990.0, 8000).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
+        SyntheticVoice(990.0, 8000).get_clip(beat_request("ā", Weight.GURU, 0.5, rate=8000))
     # a base frequency that is not a number is a ConfigError, not a TypeError
     for bad in ("220", None, True):
         with pytest.raises(ConfigError, match="base frequency"):
@@ -126,7 +133,8 @@ def test_providers_check_the_sample_rate(tmp_path):
         with pytest.raises(ConfigError, match="sample rate"):
             ClipDirectory(tmp_path, bad)
     rate = np.int64(22050)
-    assert SyntheticVoice(220.0, rate).get_clip(ClipRequest("a", Weight.LAGHU, 0.1)).sample_rate == rate
+    request = beat_request("a", Weight.LAGHU, 0.1, rate=rate)
+    assert SyntheticVoice(220.0, rate).get_clip(request).sample_rate == rate
     assert ClipDirectory(tmp_path, rate).sample_rate == rate
 
 
@@ -136,9 +144,10 @@ def test_top_harmonic_at_top_pitch_stays_below_nyquist():
     rate = 8000
     top = rate / 2 / (HARMONICS * 2.0 ** (PITCH_MAX / 12))
     with pytest.raises(ConfigError, match="base frequency"):
-        SyntheticVoice(top * 1.001, rate).get_clip(ClipRequest("a", Weight.GURU, 0.5))
+        SyntheticVoice(top * 1.001, rate).get_clip(beat_request("a", Weight.GURU, 0.5, rate=rate))
     base = 790.0
-    shifted = pitch_shift(SyntheticVoice(base, rate).get_clip(ClipRequest("a", Weight.GURU, 0.5)), PITCH_MAX)
+    clip = SyntheticVoice(base, rate).get_clip(beat_request("a", Weight.GURU, 0.5, rate=rate))
+    shifted = pitch_shift(clip, PITCH_MAX)
     f0 = base * 2.0 ** (PITCH_MAX / 12)
     mag = np.abs(np.fft.rfft(shifted.samples * np.hanning(shifted.n_frames)))
     freqs = np.fft.rfftfreq(shifted.n_frames, 1.0 / rate)
@@ -151,58 +160,60 @@ def test_top_harmonic_at_top_pitch_stays_below_nyquist():
 def test_synth_clip_duration_exact():
     for weight in (Weight.LAGHU, Weight.GURU):
         for beat in (0.3, 0.5, 0.75):
-            clip = SyntheticVoice().get_clip(ClipRequest("van", weight, beat))
+            clip = SyntheticVoice().get_clip(beat_request("van", weight, beat))
             assert clip.n_frames == expected_frames(weight, beat)
             assert clip.sample_rate == 44100
 
 
 def test_synth_clip_deterministic():
-    a = SyntheticVoice().get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
-    b = SyntheticVoice().get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
+    a = SyntheticVoice().get_clip(beat_request("ṇāṃ", Weight.GURU, 0.5))
+    b = SyntheticVoice().get_clip(beat_request("ṇāṃ", Weight.GURU, 0.5))
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_synth_clip_distinct_units_differ():
-    a = SyntheticVoice().get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
-    b = SyntheticVoice().get_clip(ClipRequest("de", Weight.LAGHU, 0.5))
+    a = SyntheticVoice().get_clip(beat_request("van", Weight.LAGHU, 0.5))
+    b = SyntheticVoice().get_clip(beat_request("de", Weight.LAGHU, 0.5))
     assert not np.array_equal(a.samples, b.samples)
 
 
 def test_synth_clip_vowel_at_base_freq():
     for base in (220.0, 261.63):
-        clip = SyntheticVoice(base).get_clip(ClipRequest("ā", Weight.GURU, 0.5))
+        clip = SyntheticVoice(base).get_clip(beat_request("ā", Weight.GURU, 0.5))
         got = fft_peak_hz(clip.samples, clip.sample_rate)
         assert abs(got - base) / base < 0.01
         # consonant-flanked vowel: inspect the middle half
-        clip = SyntheticVoice(base).get_clip(ClipRequest("vān", Weight.GURU, 0.5))
+        clip = SyntheticVoice(base).get_clip(beat_request("vān", Weight.GURU, 0.5))
         n = clip.n_frames
         got = fft_peak_hz(clip.samples[n // 4 : 3 * n // 4], clip.sample_rate)
         assert abs(got - base) / base < 0.01
 
 
 def test_synth_clip_peak_normalized():
-    clip = SyntheticVoice().get_clip(ClipRequest("snyam", Weight.GURU, 0.5))
+    clip = SyntheticVoice().get_clip(beat_request("snyam", Weight.GURU, 0.5))
     peak = np.max(np.abs(clip.samples)) / 32768.0
     assert 0.70 <= peak <= 0.78
 
 
 def test_synth_clip_needs_vowel():
     with pytest.raises(ValueError):
-        SyntheticVoice().get_clip(ClipRequest("k", Weight.LAGHU, 0.5))
+        SyntheticVoice().get_clip(beat_request("k", Weight.LAGHU, 0.5))
 
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        ClipRequest("van", Weight.LAGHU, 0.0)
-    # a bool is a number to Python, but no beat length or pitch
-    for bad in (float("inf"), float("nan"), True, "0.5"):
-        with pytest.raises(ValueError, match="beat_seconds"):
+        ClipRequest("van", Weight.LAGHU, 0)
+    # a clip is a positive whole number of frames; a bool is a number to
+    # Python, but no frame count or pitch
+    for bad in (0, -1, 2.5, float("inf"), float("nan"), True, "10", "0.5"):
+        with pytest.raises(ValueError, match="n_frames"):
             ClipRequest("va", Weight.LAGHU, bad)
+    assert ClipRequest("va", Weight.LAGHU, np.int64(10)).n_frames == 10
     for bad in (PITCH_MIN - 1, PITCH_MAX + 1, 1.5, True, float("nan"), "1"):
         with pytest.raises(ValueError, match="pitch"):
-            ClipRequest("van", Weight.LAGHU, 0.5, bad)
-    assert ClipRequest("van", Weight.LAGHU, 0.5).pitch == 0
-    assert ClipRequest("van", Weight.LAGHU, 0.5, np.int64(-7)).pitch == -7
+            ClipRequest("van", Weight.LAGHU, 22270, bad)
+    assert ClipRequest("van", Weight.LAGHU, 22270).pitch == 0
+    assert ClipRequest("van", Weight.LAGHU, 22270, np.int64(-7)).pitch == -7
 
 
 VOWELS = ["a", "ā", "i", "ī", "u", "ū", "ṛ", "e", "ai", "o", "au"]
@@ -242,10 +253,10 @@ def test_voice_matches_reference(pre, nucleus, post, weight, n, rate, base_share
         got = audio_store._consonant_burst(letter, noise, z, rate)
         want = reference_consonant_burst(letter, n, rate, base)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-    # the whole clip, at about n frames
+    # the whole clip, at exactly n frames
     if n == 0:
         return
-    request = ClipRequest("".join(pre) + nucleus + "".join(post), weight, n / ((int(weight) + 1) * rate))
+    request = ClipRequest("".join(pre) + nucleus + "".join(post), weight, n)
     got = SyntheticVoice(base, rate).get_clip(request).samples
     want = reference_synth_clip(request, base, rate).samples
     assert len(got) == len(want)
@@ -255,7 +266,7 @@ def test_voice_matches_reference(pre, nucleus, post, weight, n, rate, base_share
 def test_voice_equals_reference_at_bench_scale():
     for text in ("van", "ṇāṃ", "snyam"):
         for weight in (Weight.LAGHU, Weight.GURU):
-            request = ClipRequest(text, weight, 0.5)
+            request = beat_request(text, weight, 0.5)
             got = SyntheticVoice(220.0, 44100).get_clip(request)
             want = reference_synth_clip(request, 220.0, 44100)
             assert np.array_equal(got.samples, want.samples)
@@ -275,9 +286,9 @@ def test_voice_equals_reference_at_bench_scale():
 )
 def test_pitched_clip_spectrum(nucleus, weight, pitch, rate, base_share, beat):
     base = base_share * top_base_freq(rate)
-    request = ClipRequest(nucleus, weight, beat, pitch)
+    request = beat_request(nucleus, weight, beat, pitch, rate)
     clip = SyntheticVoice(base, rate).get_clip(request)
-    assert clip.n_frames == request.n_frames(rate)
+    assert clip.n_frames == request.n_frames
     n = clip.n_frames
     bin_hz = rate / n
     f0 = base * 2.0 ** (pitch / 12)
@@ -303,8 +314,8 @@ unit_texts = st.builds(
     st.sampled_from(VOWELS),
     st.lists(st.sampled_from(CONSONANTS), max_size=4),
 )
-requests = st.builds(
-    ClipRequest,
+# (text, weight, beat, pitch), made a request at the test's rate
+requests = st.tuples(
     unit_texts,
     st.sampled_from([Weight.LAGHU, Weight.GURU]),
     st.floats(0.02, 1.0),
@@ -323,6 +334,7 @@ def test_reused_voice_equals_fresh_voice(reqs, rate, base_share):
     # serves every part from the memo
     base = base_share * top_base_freq(rate)
     voice = SyntheticVoice(base, rate)
+    reqs = [beat_request(*req, rate=rate) for req in reqs]
     for request in reqs + reqs[::-1]:
         got = voice.get_clip(request).samples
         want = SyntheticVoice(base, rate).get_clip(request).samples
@@ -351,7 +363,7 @@ def test_voice_renders_each_burst_once(monkeypatch):
     monkeypatch.setattr(audio_store, "_consonant_burst", burst)
     voice = SyntheticVoice()
     for text in ("van", "de", "vān", "van"):
-        voice.get_clip(ClipRequest(text, Weight.LAGHU, 0.5))
+        voice.get_clip(beat_request(text, Weight.LAGHU, 0.5))
     assert len(made) == len(set(made)) == 3  # v, n, d at one length each
 
 
@@ -368,7 +380,7 @@ def test_voice_keys_voiced_bursts_by_pitch(monkeypatch):
     base, rate = 220.0, 44100
     voice = SyntheticVoice(base, rate)
     for pitch in (-7, 0, 4, 0, -7):
-        voice.get_clip(ClipRequest("kan", Weight.LAGHU, 0.5, pitch))
+        voice.get_clip(beat_request("kan", Weight.LAGHU, 0.5, pitch))
     assert [text for text, _ in made].count("k") == 1
     nasal = [freq for text, freq in made if text == "n"]
     np.testing.assert_allclose(nasal, [base * 2.0 ** (p / 12) for p in (-7, 0, 4)], rtol=1e-9)
@@ -393,7 +405,7 @@ def test_voice_builds_burst_noise_once_per_length(monkeypatch):
     monkeypatch.setattr(audio_store, "_consonant_burst", counted_burst)
     voice = SyntheticVoice()
     requests = [
-        ClipRequest("kan", Weight.LAGHU, beat, pitch)
+        beat_request("kan", Weight.LAGHU, beat, pitch)
         for beat in (0.5, 0.05)
         for pitch in (-7, 0, 4, 0, -7)
     ]
@@ -427,7 +439,10 @@ def test_render_fetches_each_clip_once():
     voice = CountingVoice()
     result = synthesize("vande vande", config, store=voice)
     needed = [
-        ClipRequest(tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds, tu.pitch)
+        beat_request(
+            tu.unit.text, Weight(tu.render_beats - 1), config.beat_seconds, tu.pitch,
+            config.sample_rate,
+        )
         for q in result.plan.quarters
         for tu in q.timed
     ]
@@ -559,22 +574,33 @@ def _write_clip(directory, name, clip):
 
 
 def test_clip_directory_lookup(tmp_path):
-    _write_clip(tmp_path, "van_l.wav", SyntheticVoice().get_clip(ClipRequest("van", Weight.LAGHU, 0.5)))
-    _write_clip(tmp_path, "ṇāṃ_g.wav", SyntheticVoice().get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5)))
+    _write_clip(tmp_path, "van_l.wav", SyntheticVoice().get_clip(beat_request("van", Weight.LAGHU, 0.5)))
+    _write_clip(tmp_path, "ṇāṃ_g.wav", SyntheticVoice().get_clip(beat_request("ṇāṃ", Weight.GURU, 0.5)))
     _write_clip(tmp_path, "notaclip.wav", sine_clip(440, 0.1))
     _write_clip(tmp_path, "bad_x.wav", sine_clip(440, 0.1))
     store = ClipDirectory(tmp_path)
     assert len(store) == 2
-    clip = store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
+    clip = store.get_clip(beat_request("van", Weight.LAGHU, 0.5))
     assert clip.n_frames == expected_frames(Weight.LAGHU, 0.5)
-    clip = store.get_clip(ClipRequest("ṇāṃ", Weight.GURU, 0.5))
+    clip = store.get_clip(beat_request("ṇāṃ", Weight.GURU, 0.5))
     assert clip.n_frames == expected_frames(Weight.GURU, 0.5)
+
+
+def test_providers_fill_small_frame_counts(tmp_path):
+    # a request names its frames, whatever beat they came from: both
+    # providers fill even a one-frame clip exactly, at any pitch
+    _write_clip(tmp_path, "van_l.wav", sine_clip(300, 0.5))
+    for store in (SyntheticVoice(), ClipDirectory(tmp_path)):
+        for n in (1, 2, 3, 7, 64, 100):
+            for pitch in (PITCH_MIN, 0, PITCH_MAX):
+                clip = store.get_clip(ClipRequest("van", Weight.LAGHU, n, pitch))
+                assert (clip.n_frames, clip.sample_rate) == (n, 44100)
 
 
 def test_clip_directory_missing_unit(tmp_path):
     store = ClipDirectory(tmp_path)
     with pytest.raises(ClipUnavailable):
-        store.get_clip(ClipRequest("van", Weight.LAGHU, 0.5))
+        store.get_clip(beat_request("van", Weight.LAGHU, 0.5))
 
 
 def rms(clip) -> float:
@@ -591,7 +617,7 @@ def test_clip_directory_serves_at_pitch(tmp_path):
     store = ClipDirectory(tmp_path)
     for text in ("van", "de"):
         for p in range(PITCH_MIN, PITCH_MAX + 1):
-            clip = store.get_clip(ClipRequest(text, Weight.LAGHU, 0.5, p))
+            clip = store.get_clip(beat_request(text, Weight.LAGHU, 0.5, p))
             assert clip.n_frames == want
             assert peak_bin(clip.samples) == round(300 * 2 ** (p / 12) * want / 44100)
 
@@ -609,19 +635,19 @@ def test_clip_directory_low_passes_a_read_faster_than_the_take(tmp_path):
     _write_clip(tmp_path, "lo_l.wav", low)
     store = ClipDirectory(tmp_path)
     for text, take, pitch in (("hi", high, 2), ("hi", high, 4), ("ta", over, 0)):
-        clip = store.get_clip(ClipRequest(text, Weight.LAGHU, 0.5, pitch))
+        clip = store.get_clip(beat_request(text, Weight.LAGHU, 0.5, pitch))
         assert rms(clip) <= 0.01 * rms(take)
     # a tone well inside the band keeps its pitch and its level
-    clip = store.get_clip(ClipRequest("lo", Weight.LAGHU, 0.5, 4))
+    clip = store.get_clip(beat_request("lo", Weight.LAGHU, 0.5, 4))
     assert peak_bin(clip.samples) == round(300 * 2 ** (4 / 12) * clip.n_frames / 44100)
     assert abs(20 * np.log10(rms(clip) / rms(low))) <= 1
 
 
 def test_clip_directory_weight_distinguishes(tmp_path):
-    _write_clip(tmp_path, "de_g.wav", SyntheticVoice().get_clip(ClipRequest("de", Weight.GURU, 0.5)))
+    _write_clip(tmp_path, "de_g.wav", SyntheticVoice().get_clip(beat_request("de", Weight.GURU, 0.5)))
     store = ClipDirectory(tmp_path)
     with pytest.raises(ClipUnavailable):
-        store.get_clip(ClipRequest("de", Weight.LAGHU, 0.5))
+        store.get_clip(beat_request("de", Weight.LAGHU, 0.5))
 
 
 def test_small_duration_gap_padded_or_trimmed(tmp_path):
@@ -631,10 +657,10 @@ def test_small_duration_gap_padded_or_trimmed(tmp_path):
     _write_clip(tmp_path, "sa_l.wav", short)
     _write_clip(tmp_path, "ma_l.wav", long)
     store = ClipDirectory(tmp_path)
-    padded = store.get_clip(ClipRequest("sa", Weight.LAGHU, 0.5))
+    padded = store.get_clip(beat_request("sa", Weight.LAGHU, 0.5))
     assert padded.n_frames == want
     assert not padded.samples[-200:].any()  # gap filled with silence
-    trimmed = store.get_clip(ClipRequest("ma", Weight.LAGHU, 0.5))
+    trimmed = store.get_clip(beat_request("ma", Weight.LAGHU, 0.5))
     assert trimmed.n_frames == want
     assert np.array_equal(trimmed.samples, long.samples[:want])
 
@@ -644,7 +670,7 @@ def test_large_duration_gap_stretched(tmp_path):
     off = sine_clip(440, 0.8)  # 20% short of 1.0 s
     _write_clip(tmp_path, "bo_g.wav", off)
     store = ClipDirectory(tmp_path)
-    clip = store.get_clip(ClipRequest("bo", Weight.GURU, 0.5))
+    clip = store.get_clip(beat_request("bo", Weight.GURU, 0.5))
     assert clip.n_frames == want
     # stretch keeps the pitch
     got = fft_peak_hz(clip.samples, 44100)
@@ -655,7 +681,7 @@ def test_other_sample_rate_resampled(tmp_path):
     clip = sine_clip(440, 0.5, rate=22050)
     _write_clip(tmp_path, "ya_l.wav", clip)
     store = ClipDirectory(tmp_path, sample_rate=44100)
-    out = store.get_clip(ClipRequest("ya", Weight.LAGHU, 0.5))
+    out = store.get_clip(beat_request("ya", Weight.LAGHU, 0.5))
     assert out.sample_rate == 44100
     assert out.n_frames == expected_frames(Weight.LAGHU, 0.5)
     got = fft_peak_hz(out.samples, 44100)
@@ -666,14 +692,14 @@ def test_bad_wav_in_directory(tmp_path):
     (tmp_path / "ha_l.wav").write_bytes(b"RIFFgarbage")
     store = ClipDirectory(tmp_path)
     with pytest.raises(BadWav):
-        store.get_clip(ClipRequest("ha", Weight.LAGHU, 0.5))
+        store.get_clip(beat_request("ha", Weight.LAGHU, 0.5))
 
 
 def test_empty_take_in_directory(tmp_path):
     write_wav(AudioClip(np.zeros(0, dtype=np.int16), 44100), tmp_path / "ha_l.wav")
     store = ClipDirectory(tmp_path)
     with pytest.raises(BadWav, match="ha_l.wav: clip holds no samples"):
-        store.get_clip(ClipRequest("ha", Weight.LAGHU, 0.5))
+        store.get_clip(beat_request("ha", Weight.LAGHU, 0.5))
 
 
 def test_clip_directory_rejects_two_files_for_one_take(tmp_path):
@@ -693,7 +719,7 @@ def test_clip_directory_rejects_two_files_for_one_take(tmp_path):
 
 def test_alias_spelling_in_filename(tmp_path):
     # file written with ṛ finds requests spelled r̥
-    _write_clip(tmp_path, "kṛ_l.wav", SyntheticVoice().get_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5)))
+    _write_clip(tmp_path, "kṛ_l.wav", SyntheticVoice().get_clip(beat_request("kr̥", Weight.LAGHU, 0.5)))
     store = ClipDirectory(tmp_path)
-    clip = store.get_clip(ClipRequest("kr̥", Weight.LAGHU, 0.5))
+    clip = store.get_clip(beat_request("kr̥", Weight.LAGHU, 0.5))
     assert clip.n_frames == expected_frames(Weight.LAGHU, 0.5)

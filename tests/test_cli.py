@@ -11,8 +11,8 @@ from versechant.cli import main
 from versechant.dsp import read_wav
 
 from conftest import (
-    Q1_UNITS, Q2_UNITS, Q3_UNITS, Q4_UNITS, Q1_T, Q1_V, SAMPLE_VERSE, iast_to_devanagari,
-    mono16_wav,
+    Q1_UNITS, Q2_UNITS, Q3_UNITS, Q4_UNITS, Q1_T, Q1_V, SAMPLE_VERSE, beat_request,
+    iast_to_devanagari, mono16_wav,
 )
 
 
@@ -179,12 +179,12 @@ def test_metre_db_flag(tmp_path):
 
 
 def test_clips_flag(tmp_path):
-    from versechant.audio_store import ClipRequest, SyntheticVoice
+    from versechant.audio_store import SyntheticVoice
     from versechant.dsp import write_wav
     from versechant.prosody import Weight
 
     for text, weight in [("van", Weight.GURU), ("de", Weight.GURU)]:
-        clip = SyntheticVoice().get_clip(ClipRequest(text, weight, 0.5))
+        clip = SyntheticVoice().get_clip(beat_request(text, weight, 0.5))
         write_wav(clip, tmp_path / f"{text}_{weight.tag}.wav")
     out_path = tmp_path / "out.wav"
     code, _, _ = run_cli(
@@ -197,11 +197,11 @@ def test_clips_flag(tmp_path):
 
 
 def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
-    from versechant.audio_store import ClipRequest, SyntheticVoice
+    from versechant.audio_store import SyntheticVoice
     from versechant.dsp import write_wav
     from versechant.prosody import Weight
 
-    clip = SyntheticVoice().get_clip(ClipRequest("van", Weight.GURU, 0.5))
+    clip = SyntheticVoice().get_clip(beat_request("van", Weight.GURU, 0.5))
     for name in ("van_g.wav", "VAN_g.wav"):
         write_wav(clip, tmp_path / name)
     code, out, err = run_cli(
@@ -250,8 +250,9 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
             "[transliteration]: unsupported code point U+093E at position 0",
             id="units-stray-vowel-sign",
         ),
-        pytest.param(["units", "||"], 1, "[input]", id="units-empty-verse"),
-        pytest.param(["scan", "||"], 1, "[input]", id="scan-empty-verse"),
+        # text with no verse material is a usage error, whitespace or marks
+        pytest.param(["units", "||"], 2, "error: verse text is empty", id="units-empty-verse"),
+        pytest.param(["scan", "||"], 2, "error: verse text is empty", id="scan-empty-verse"),
         # {tmp} is a directory of the files the test writes below
         pytest.param(
             ["scan", "vande", "--metre-db", "{tmp}/missing.txt"], 2,

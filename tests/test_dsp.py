@@ -26,11 +26,12 @@ from versechant.dsp import (
     stretch_to_length,
     write_wav,
 )
-from versechant.audio_store import ClipRequest, SyntheticVoice
+from versechant.audio_store import SyntheticVoice
 from versechant.errors import BadWav, SampleRateMismatch
 from versechant.prosody import Weight
+from versechant.synthesis import beat_frames
 
-from conftest import fft_peak_hz, mono16_wav, reference_concat, sine_clip
+from conftest import beat_request, fft_peak_hz, mono16_wav, reference_concat, sine_clip
 
 
 def reference_stretch(x: np.ndarray, n_out: int) -> np.ndarray:
@@ -176,10 +177,11 @@ def traced_peak(fn) -> int:
 
 
 def test_silence_frame_count():
-    clip = silence(3, 0.5, 44100)
+    # three half-second beats at 44.1 kHz, one quarter-second beat at 8 kHz
+    clip = silence(beat_frames(3, 0.5, 44100), 44100)
     assert clip.n_frames == 66150
     assert not clip.samples.any()
-    assert silence(1, 0.25, 8000).n_frames == 2000
+    assert silence(beat_frames(1, 0.25, 8000), 8000).n_frames == 2000
 
 
 def test_clip_validation():
@@ -274,7 +276,7 @@ def long_flat_pieces() -> list[AudioClip]:
             44100,
         )
         if k % 5
-        else silence(1, 0.5, 44100)
+        else silence(22050, 44100)
         for k, f in enumerate(rng.uniform(0.01, 0.2, 300))
     ]
 
@@ -489,7 +491,7 @@ def test_stretch_and_pitch_equal_the_whole_array_vocoder(case, semitones):
 def test_stretch_and_pitch_equal_reference_at_verse_scale():
     # one- and two-beat synthetic clips at 44.1 kHz, and a 10% long take
     # stretched back to its beat span, as verse and recorded renders do
-    for request in (ClipRequest("van", Weight.GURU, 0.5), ClipRequest("de", Weight.LAGHU, 0.5)):
+    for request in (beat_request("van", Weight.GURU, 0.5), beat_request("de", Weight.LAGHU, 0.5)):
         clip = SyntheticVoice().get_clip(request)
         for s in range(PITCH_MIN, PITCH_MAX + 1):
             if s:

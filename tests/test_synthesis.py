@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from versechant import audio_store, synthesis
@@ -22,7 +22,6 @@ from versechant.audio_store import (
 )
 from versechant.dsp import (
     AudioClip,
-    beat_frames,
     crossfade_frames,
     pitch_shift,
     read_wav,
@@ -40,6 +39,7 @@ from versechant.prosody import Weight
 from versechant.synthesis import (
     Config,
     TimedUnit,
+    beat_frames,
     prepare,
     synthesize,
 )
@@ -52,6 +52,7 @@ from conftest import (
     Q1_V,
     SAMPLE_VERSE,
     CountingVoice,
+    beat_request,
     peak_bin,
     random_text,
     reference_concat,
@@ -191,7 +192,7 @@ def grid_pieces(plan, store, beat: float = 0.5, rate: int = 44100) -> list[Audio
             if tu is None:
                 pieces.append(np.zeros(beat_frames(beats, beat, rate) + xf, np.int16))
             else:
-                request = ClipRequest(tu.unit.text, Weight(beats - 1), beat, tu.pitch)
+                request = beat_request(tu.unit.text, Weight(beats - 1), beat, tu.pitch, rate)
                 pieces.append(store.get_clip(request).samples)
     pieces[-1] = pieces[-1][: len(pieces[-1]) - xf]
     return [AudioClip(p, rate) for p in pieces]
@@ -222,7 +223,7 @@ def record_takes(directory, plan, rate: int = 44100, beat: float = 0.5) -> None:
     for quarter in plan.quarters:
         for tu in quarter.timed:
             weight = Weight(tu.render_beats - 1)
-            clip = voice.get_clip(ClipRequest(tu.unit.text, weight, beat))
+            clip = voice.get_clip(beat_request(tu.unit.text, weight, beat, rate=rate))
             write_wav(clip, directory / f"{tu.unit.text}_{weight.tag}.wav")
 
 
@@ -469,6 +470,42 @@ def test_config_rejects_a_beat_under_one_frame():
         Config(beat_seconds=1e-5)
 
 
+def test_config_accepts_a_beat_of_one_crossfade_at_every_rate():
+    # Config rounds one beat as the render does, so a beat of exactly
+    # one crossfade passes at every rate, even where the float product
+    # of beat and rate falls an ulp short of the crossfade's frames
+    assert 0.005035971223021582 * 8340 < crossfade_frames(8340) == 42
+    for rate in range(8000, 48001):
+        beat = crossfade_frames(rate) / rate
+        assert Config(sample_rate=rate, beat_seconds=beat).beat_seconds == beat
+
+
+def test_a_provider_is_asked_for_its_slot_and_one_crossfade():
+    # a bare provider is asked, once per distinct request, for each
+    # chanted slot's beat_frames plus one crossfade, at a beat whose
+    # slots do not round to whole beats of frames
+    beat, rate = 0.334, 8340
+    asked = []
+
+    class Zeros(ClipProvider):
+        def get_clip(self, request):
+            asked.append(request)
+            return AudioClip(np.zeros(request.n_frames, np.int16), rate)
+
+    result = synthesize(SAMPLE_VERSE, Config(sample_rate=rate, beat_seconds=beat), store=Zeros())
+    slots = [slot for quarter in result.plan.quarters for slot in quarter.slots()]
+    xf = crossfade_frames(rate)
+    want = {
+        ClipRequest(tu.unit.text, Weight(beats - 1), beat_frames(beats, beat, rate) + xf, tu.pitch)
+        for tu, beats in slots
+        if tu is not None
+    }
+    assert beat_frames(2, beat, rate) != 2 * beat_frames(1, beat, rate)
+    assert len(asked) == len(want) and set(asked) == want
+    assert result.clip.n_frames == sum(beat_frames(beats, beat, rate) for _, beats in slots)
+    assert not result.clip.samples.any()
+
+
 def test_synthesize_refuses_a_render_longer_than_a_wav_holds(monkeypatch):
     # only beats whose render could not allocate even without the check;
     # the product of beats, beat and rate is compared before it is
@@ -557,7 +594,6 @@ def test_every_slot_starts_on_its_beat(rng, n_lines, rate, extra):
     # chanted slot holds its clip's own samples, from its onset on
     xf = crossfade_frames(rate)
     beat = (xf + extra) / rate
-    assume(beat * rate >= xf)  # a quotient one ulp short fails Config's check
     config = Config(require_metre=False, sample_rate=rate, beat_seconds=beat)
     voice = SyntheticVoice(config.base_freq, rate)
     served = {}
@@ -575,7 +611,7 @@ def test_every_slot_starts_on_its_beat(rng, n_lines, rate, extra):
     onset = 0
     for (tu, beats), n in zip(slots, frames):
         if tu is not None:
-            clip = served[ClipRequest(tu.unit.text, Weight(beats - 1), beat, tu.pitch)]
+            clip = served[beat_request(tu.unit.text, Weight(beats - 1), beat, tu.pitch, rate)]
             body = result.clip.samples[onset + xf : onset + n]
             assert np.array_equal(body, clip.samples[xf:n])
         onset += n
