@@ -8,8 +8,15 @@ base_freq · 2^(pitch/12); a directory of recorded takes (files named
 ``<unit_text>_<l|g>.wav``) reads its take 2^(pitch/12) times faster in
 one resampling pass, then fits the read to the slot, so a take goes
 through the phase vocoder once at most.
-Providers keep no clips: the renderer memoizes them, one fetch per
-distinct request in a render.
+Providers keep no clips: a render asks for each of its distinct
+requests once, in one ``get_clips`` call, and keeps the clips it gets.
+A directory of takes looks every take up before it reads any, so one
+``ClipUnavailable`` names all that are missing; then it fits the takes
+two at a time, on the calling thread and one helper thread, when the
+process may use two CPUs.  numpy drops the GIL in the vocoder's FFTs
+and array passes, so a render's takes, which do not depend on each
+other, fit in parallel.  The synthetic voice's clips are too short to
+pay for a thread, so it keeps the serial default.
 
 The synthetic voice runs no trigonometry per frame.  Its sines come
 from a phasor table built by angle addition: one block of in-block
@@ -44,10 +51,12 @@ from __future__ import annotations
 import functools
 import mmap
 import numbers
+import os
 import threading
 import zlib
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,10 +139,21 @@ class ClipProvider(ABC):
     Each call builds or loads the clip anew; the renderer memoizes whole
     clips, so providers keep no clips.  A synthetic voice does keep the
     parts its clips share (phasor tables, burst noise and bursts),
-    within the budget the module docstring states."""
+    within the budget the module docstring states.
+
+    ``get_clips`` is the batch a render makes: one clip per request,
+    yielded in request order.  Its default is serial and lazy, one
+    ``get_clip`` call per clip as the renderer takes it, so a provider
+    that defines only ``get_clip`` is asked for the same clips, in the
+    same order, and stops at the first clip the renderer refuses.
+    ``ClipDirectory`` overrides it and may run ``get_clip`` on a helper
+    thread."""
 
     @abstractmethod
     def get_clip(self, request: ClipRequest) -> AudioClip: ...
+
+    def get_clips(self, requests: Iterable[ClipRequest]) -> Iterator[AudioClip]:
+        return map(self.get_clip, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +383,15 @@ def default_voice(base_freq: float, sample_rate: int) -> SyntheticVoice:
 # ---------------------------------------------------------------------------
 # Recorded clips
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 class ClipDirectory(ClipProvider):
     """Clips read from ``<unit_text>_<l|g>.wav`` files in one directory,
     sung at the request's pitch.
@@ -375,6 +404,14 @@ class ClipDirectory(ClipProvider):
     the phase vocoder; a smaller gap is padded with silence or trimmed.
     A path that is not a directory, or two files whose names normalize
     to one (unit, weight) take, raise ``ConfigError``.
+
+    ``get_clips`` looks up every request's take before it reads any WAV
+    and raises one ``ClipUnavailable`` naming each missing file; then it
+    fits the takes on the calling thread and one helper thread, each
+    through ``get_clip``, and yields them in request order.  An error
+    from a take is raised at that take's place in the order, as the
+    serial path raises it, and the helper has stopped by then.  With one
+    usable CPU, or one request, no helper starts.
     """
 
     def __init__(self, directory: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE):
@@ -400,8 +437,67 @@ class ClipDirectory(ClipProvider):
     def __len__(self) -> int:
         return len(self._index)
 
+    def _take(self, request: ClipRequest) -> Path | None:
+        return self._index.get((normalize(request.unit_text), request.weight))
+
+    def get_clips(self, requests: Iterable[ClipRequest]) -> Iterator[AudioClip]:
+        requests = list(requests)
+        missing = [r for r in requests if self._take(r) is None]
+        if missing:
+            names = dict.fromkeys(f"{r.unit_text}_{r.weight.tag}.wav" for r in missing)
+            raise ClipUnavailable(missing[0].unit_text, missing[0].weight.tag, tuple(names))
+        if len(requests) < 2 or _usable_cpus() < 2:
+            return map(self.get_clip, requests)
+        return self._fit_two_at_a_time(requests)
+
+    def _fit_two_at_a_time(self, requests: list[ClipRequest]) -> Iterator[AudioClip]:
+        """Clips for the requests in order, fitted by this thread and one
+        helper.  Each thread takes the first request neither has taken;
+        this one takes requests while it waits for the next clip in
+        order.  A failed take, or an early close, cancels the requests
+        not yet taken, and the helper's running one is finished before
+        this returns."""
+        from concurrent.futures import Future  # imports logging: only when used
+
+        futures = [Future() for _ in requests]
+        untaken = zip(requests, futures)
+        lock = threading.Lock()
+
+        def cancel_untaken() -> None:
+            with lock:
+                for _, future in untaken:
+                    future.cancel()
+
+        def fit_next() -> bool:
+            with lock:
+                job = next(untaken, None)
+            if job is None:
+                return False
+            request, future = job
+            try:
+                future.set_result(self.get_clip(request))
+            except BaseException as exc:  # raised again where its clip is read
+                future.set_exception(exc)
+                cancel_untaken()
+            return True
+
+        def helper():
+            while fit_next():
+                pass
+
+        thread = threading.Thread(target=helper, name="versechant-takes", daemon=True)
+        thread.start()
+        try:
+            for future in futures:
+                while not future.done() and fit_next():
+                    pass
+                yield future.result()
+        finally:
+            cancel_untaken()
+            thread.join()
+
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        path = self._index.get((normalize(request.unit_text), request.weight))
+        path = self._take(request)
         if path is None:
             raise ClipUnavailable(request.unit_text, request.weight.tag)
         clip = read_wav(path)

@@ -90,12 +90,18 @@ class UndecodableFile(ChantError):
 
 
 class ClipUnavailable(ChantError):
-    """The clip store has no recording for a requested unit."""
+    """The clip store has no recording for a requested unit.
+    ``unit_text`` and ``weight_tag`` name the first missing take;
+    ``missing`` holds the file name of every missing take."""
 
-    def __init__(self, unit_text: str, weight_tag: str):
+    def __init__(self, unit_text: str, weight_tag: str, missing: tuple[str, ...] = ()):
         self.unit_text = unit_text
         self.weight_tag = weight_tag
-        super().__init__(f"no clip for unit {unit_text!r} ({weight_tag})")
+        self.missing = missing or (f"{unit_text}_{weight_tag}.wav",)
+        message = f"no clip for unit {unit_text!r} ({weight_tag})"
+        if len(self.missing) > 1:
+            message = f"no clip for {len(self.missing)} takes: {', '.join(self.missing)}"
+        super().__init__(message)
 
 
 class BadClip(ChantError):

@@ -224,11 +224,14 @@ def synthesize(
     sing it, or a rest of silence.  Every piece but the last is its
     slot's ``beat_frames`` plus one crossfade, a tail that fades under
     the next slot, so each slot starts on its beat and the render is
-    exactly the sum of its slots' frames.  Each distinct clip request,
-    pitch included, goes to the store once per render, so a recorded
-    take is read and vocoded at most once per (unit, weight, frames,
-    pitch), and its clip is checked once: a clip off the contract's
-    rate or length raises ``BadClip``.
+    exactly the sum of its slots' frames.  Each slot's clip request is
+    built once, and the distinct ones, pitch included, go to the store
+    in one ``get_clips`` call in grid order, so a recorded take is read
+    and vocoded at most once per (unit, weight, frames, pitch); a
+    directory of takes may fit two at a time.  Each clip is checked as
+    it arrives: a clip off the contract's rate or length raises
+    ``BadClip``, and a store on the serial default is asked for no
+    clip after it.
     Without a store or a ``clip_dir``, the store is the process's synthetic voice
     (``audio_store.default_voice``), whose parts outlive the render.  A
     render longer than a WAV file holds (``dsp.WAV_MAX_FRAMES``) raises
@@ -253,21 +256,23 @@ def synthesize(
     # the last, the last quarter's end rest, has no slot to fade under
     lengths = [n + xf for n in frames]
     lengths[-1] -= xf
+    requests = [
+        None if tu is None else ClipRequest(tu.unit.text, Weight(beats - 1), n, tu.pitch)
+        for (tu, beats), n in zip(slots, lengths)
+    ]
+    distinct = list(dict.fromkeys(r for r in requests if r is not None))
     clips: dict[ClipRequest, AudioClip] = {}
     with _stage("render"):
-        pieces: list[AudioClip] = []
-        for (tu, beats), n in zip(slots, lengths):
-            if tu is None:
-                pieces.append(silence(n, rate))
-                continue
-            request = ClipRequest(tu.unit.text, Weight(beats - 1), n, tu.pitch)
-            with _stage("clips"):
-                clip = clips.get(request)
-                if clip is None:
-                    clip = clips[request] = store.get_clip(request)
-                    _check_clip(clip, request, rate)
-            # a no-op the benchmark still wraps and times as its pitch layer
-            pieces.append(pitch_shift(clip, 0))
+        with _stage("clips"):
+            for request, clip in zip(distinct, store.get_clips(distinct), strict=True):
+                _check_clip(clip, request, rate)
+                clips[request] = clip
+        # pitch_shift(clip, 0) is a no-op the benchmark still wraps and
+        # times as its pitch layer
+        pieces = [
+            silence(n, rate) if request is None else pitch_shift(clips[request], 0)
+            for request, n in zip(requests, lengths)
+        ]
         clip = concat(pieces, xf)
     wav_path = None
     if out_path is not None:

@@ -1,8 +1,8 @@
 """Shared fixtures: frozen oracle values, the join oracle, an
 independent spectral-peak estimator, a voice that records its
-requests, the clip request a render makes for a unit, an
-IAST-to-Devanagari speller, and seeded random verse generators for the
-property suites."""
+requests, the clip request a render makes for a unit, recorded takes
+for a plan, an IAST-to-Devanagari speller, and seeded random verse
+generators for the property suites."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import unicodedata
 import numpy as np
 
 from versechant.audio_store import ClipRequest, SyntheticVoice
-from versechant.dsp import AudioClip, crossfade_frames
+from versechant.dsp import AudioClip, crossfade_frames, write_wav
+from versechant.prosody import Weight
 from versechant.synthesis import beat_frames
 
 # The worked sample verse.  Quarter-1 unit and weight values below were
@@ -72,6 +73,17 @@ def beat_request(text, weight, beat: float, pitch: int = 0, rate: int = 44100) -
     this weight: its weight + 1 beats in frames plus one crossfade."""
     n = beat_frames(int(weight) + 1, beat, rate) + crossfade_frames(rate)
     return ClipRequest(text, weight, n, pitch)
+
+
+def record_takes(directory, plan, rate: int = 44100, beat: float = 0.5) -> None:
+    """One take per (unit, render weight) the plan sings, by a synthetic
+    voice at 196 Hz and ``rate``, each as long as its beats at ``beat``."""
+    voice = SyntheticVoice(196.0, rate)
+    for quarter in plan.quarters:
+        for tu in quarter.timed:
+            weight = Weight(tu.render_beats - 1)
+            clip = voice.get_clip(beat_request(tu.unit.text, weight, beat, rate=rate))
+            write_wav(clip, directory / f"{tu.unit.text}_{weight.tag}.wav")
 
 
 class CountingVoice(SyntheticVoice):

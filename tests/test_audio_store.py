@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import mmap
+import os
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from versechant.audio_store import (
     _NASALS,
     HARMONICS,
     ClipDirectory,
+    ClipProvider,
     ClipRequest,
     SyntheticVoice,
     check_base_freq,
@@ -29,7 +34,7 @@ from versechant.dsp import (
 )
 from versechant.errors import BadWav, ClipUnavailable, ConfigError
 from versechant.prosody import Weight
-from versechant.synthesis import Config, synthesize
+from versechant.synthesis import Config, prepare, synthesize
 from versechant.transliteration import tokenize
 
 from conftest import (
@@ -38,6 +43,7 @@ from conftest import (
     beat_request,
     fft_peak_hz,
     peak_bin,
+    record_takes,
     sine_clip,
 )
 
@@ -723,3 +729,193 @@ def test_alias_spelling_in_filename(tmp_path):
     store = ClipDirectory(tmp_path)
     clip = store.get_clip(beat_request("kr̥", Weight.LAGHU, 0.5))
     assert clip.n_frames == expected_frames(Weight.LAGHU, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# A render's takes, fitted on the calling thread and one helper
+
+class SerialDirectory(ClipProvider):
+    """The takes of a ClipDirectory through the serial ``get_clips``
+    default: it defines only ``get_clip``."""
+
+    def __init__(self, directory):
+        self.takes = ClipDirectory(directory)
+
+    def get_clip(self, request):
+        return self.takes.get_clip(request)
+
+
+def bench_takes(directory, plan):
+    """Takes of the plan's units as the benchmark writes them, at
+    22.05 kHz and 10% long, so every read is resampled and stretched."""
+    directory.mkdir()
+    record_takes(directory, plan, rate=22050, beat=0.55)
+    return directory
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A helper fits takes whatever CPUs the test host lets this process use."""
+    monkeypatch.setattr(audio_store, "_usable_cpus", lambda: 2)
+
+
+def record_fits(monkeypatch) -> list:
+    """(store, request, thread, threads alive) for every
+    ClipDirectory.get_clip call from now on."""
+    fits = []
+    get_clip = ClipDirectory.get_clip
+
+    def spy(self, request):
+        fits.append((self, request, threading.current_thread(), threading.active_count()))
+        return get_clip(self, request)
+
+    monkeypatch.setattr(ClipDirectory, "get_clip", spy)
+    return fits
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_two_threads_fit_what_the_serial_default_fits(tmp_path, monkeypatch):
+    # the sample verse under the bundled metres and under two seeded
+    # pitch rows renders the same bytes from the directory, fitted on
+    # two threads, as through the serial default on this thread alone
+    takes = bench_takes(tmp_path / "takes", prepare(SAMPLE_VERSE))
+    rng = np.random.default_rng(24)
+    rows = rng.integers(PITCH_MIN, PITCH_MAX + 1, (2, 2, 11))
+    configs = [Config()] + [
+        Config(metre_db_path=metre_db(tmp_path / f"db{k}.txt", *rows[k])) for k in range(2)
+    ]
+    fits = record_fits(monkeypatch)
+    for config in configs:
+        fits.clear()
+        serial = synthesize(SAMPLE_VERSE, config, store=SerialDirectory(takes))
+        assert {thread for _, _, thread, _ in fits} == {threading.current_thread()}
+        assert len({tu.pitch for q in serial.plan.quarters for tu in q.timed}) > 1
+        fits.clear()
+        helped = synthesize(SAMPLE_VERSE, replace(config, clip_dir=takes))
+        fitters = {thread for _, _, thread, _ in fits}
+        assert len(fitters) == 2 and threading.current_thread() in fitters
+        assert np.array_equal(helped.clip.samples, serial.clip.samples)
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_renders_at_once_fit_each_take_once(tmp_path, monkeypatch):
+    # three renders at once, each fitting on two threads, so six threads
+    # share the CPUs; a short switch interval makes them interleave as
+    # they take requests: each render asks once for each of its distinct
+    # requests and renders the serial path's bytes
+    plan = prepare(SAMPLE_VERSE)
+    takes = bench_takes(tmp_path / "takes", plan)
+    want = synthesize(SAMPLE_VERSE, store=SerialDirectory(takes)).clip.samples
+    fits = record_fits(monkeypatch)
+    stores = [ClipDirectory(takes) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            render = lambda store: synthesize(SAMPLE_VERSE, store=store).clip.samples
+            got = list(pool.map(render, stores, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(samples, want) for samples in got)
+    distinct = {(tu.unit.text, tu.render_beats, tu.pitch) for q in plan.quarters for tu in q.timed}
+    for store in stores:
+        requests = [request for owner, request, _, _ in fits if owner is store]
+        assert len(requests) == len(set(requests)) == len(distinct)
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("k", [0, 1, 21, -1])
+def test_a_bad_take_raises_as_the_serial_path_does(tmp_path, monkeypatch, k):
+    # the take of the k-th distinct request is cut short: both paths
+    # raise the same BadWav; the helped path stops taking requests at
+    # the error, and once it is raised no take is being fitted, none is
+    # fitted later and the helper is gone.  The bad take fails late and
+    # the helper lingers after each take, so when the caller meets the
+    # error the helper is often fitting a later request
+    plan = prepare(SAMPLE_VERSE)
+    takes = bench_takes(tmp_path / "takes", plan)
+    units = [tu for q in plan.quarters for tu in q.timed]
+    distinct = list(dict.fromkeys((tu.unit.text, tu.render_beats, tu.pitch) for tu in units))
+    text, beats, _ = distinct[k]
+    first = next(j for j, (t, b, _) in enumerate(distinct) if (t, b) == (text, beats))
+    path = takes / f"{text}_{'lg'[beats - 1]}.wav"
+    path.write_bytes(path.read_bytes()[:-1000])
+    started, finished = [], []
+    get_clip = ClipDirectory.get_clip
+    caller = threading.current_thread()
+
+    def spy(self, request):
+        started.append(request)
+        try:
+            if (request.unit_text, request.weight + 1) == (text, beats):
+                time.sleep(0.02)
+            clip = get_clip(self, request)
+            if threading.current_thread() is not caller:
+                time.sleep(0.01)
+            return clip
+        finally:
+            finished.append(request)
+
+    monkeypatch.setattr(ClipDirectory, "get_clip", spy)
+    threads = threading.active_count()
+    with pytest.raises(BadWav) as serial:
+        synthesize(SAMPLE_VERSE, store=SerialDirectory(takes))
+    assert len(started) == first + 1
+    started.clear()
+    finished.clear()
+    with pytest.raises(BadWav) as helped:
+        synthesize(SAMPLE_VERSE, Config(clip_dir=takes))
+    assert len(finished) == len(started) <= first + 16
+    assert threading.active_count() == threads
+    assert "data cut short" in str(serial.value)
+    assert (type(helped.value), str(helped.value), helped.value.stage) == (
+        type(serial.value), str(serial.value), serial.value.stage
+    )
+    time.sleep(0.05)
+    assert len(finished) == len(started)
+
+
+@pytest.mark.parametrize("platform", ["affinity", "cpu-count"])
+def test_one_cpu_starts_no_helper(tmp_path, monkeypatch, platform):
+    # a process that may use one CPU fits every take on its own thread;
+    # where the platform has no affinity call, os.cpu_count decides
+    takes = bench_takes(tmp_path / "takes", prepare(SAMPLE_VERSE))
+    config = Config(clip_dir=takes)
+    helped = synthesize(SAMPLE_VERSE, config).clip.samples
+    if platform == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    fits = record_fits(monkeypatch)
+    threads = threading.active_count()
+    alone = synthesize(SAMPLE_VERSE, config).clip.samples
+    assert len(fits) > 1 and {alive for _, _, _, alive in fits} == {threads}
+    assert np.array_equal(alone, helped)
+
+
+def test_every_missing_take_is_named_before_any_read(tmp_path, monkeypatch):
+    # three takes of the sample verse are gone: one error names all
+    # three in grid order, and the first by its unit and weight, before
+    # any take is read
+    plan = prepare(SAMPLE_VERSE)
+    takes = bench_takes(tmp_path / "takes", plan)
+    units = [tu for q in plan.quarters for tu in q.timed]
+    names = list(dict.fromkeys(f"{tu.unit.text}_{'lg'[tu.render_beats - 1]}.wav" for tu in units))
+    gone = names[3], names[17], names[-1]
+    for name in gone:
+        (takes / name).unlink()
+    reads = []
+    monkeypatch.setattr(audio_store, "read_wav", reads.append)
+    with pytest.raises(ClipUnavailable) as info:
+        synthesize(SAMPLE_VERSE, Config(clip_dir=takes))
+    assert info.value.missing == gone
+    assert f"{info.value.unit_text}_{info.value.weight_tag}.wav" == gone[0]
+    assert info.value.stage == "clips"
+    assert str(info.value) == f"no clip for 3 takes: {', '.join(gone)}"
+    # the directory raises on the call itself, not on the first clip
+    text, tag = gone[0][:-4].rsplit("_", 1)
+    weight = Weight.GURU if tag == "g" else Weight.LAGHU
+    with pytest.raises(ClipUnavailable):
+        ClipDirectory(takes).get_clips([beat_request(text, weight, 0.5)])
+    assert reads == []

@@ -214,6 +214,30 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
     assert not (tmp_path / "out.wav").exists()
 
 
+def test_clips_flag_names_every_missing_take(tmp_path, monkeypatch):
+    # an empty clip directory: the one error line names all 39 takes the
+    # sample verse sings, and no take is read
+    from versechant import audio_store
+    from versechant.synthesis import prepare
+
+    reads = []
+    monkeypatch.setattr(audio_store, "read_wav", reads.append)
+    code, out, err = run_cli(
+        ["synth", SAMPLE_VERSE, str(tmp_path / "out.wav"), "--clips", str(tmp_path)]
+    )
+    takes = {
+        f"{tu.unit.text}_{'lg'[tu.render_beats - 1]}.wav"
+        for q in prepare(SAMPLE_VERSE).quarters
+        for tu in q.timed
+    }
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("error [clips]: no clip for 39 takes: van_g.wav, de_g.wav, ")
+    assert set(err.strip().rsplit(": ", 1)[1].split(", ")) == takes
+    assert len(takes) == 39
+    assert reads == []
+    assert not (tmp_path / "out.wav").exists()
+
+
 @pytest.mark.parametrize(
     "argv, code, fragment",
     [
@@ -287,8 +311,9 @@ def test_clips_flag_rejects_two_files_for_one_take(tmp_path):
             ["synth", "vande", "{tmp}/missing/o.wav", "--no-require-metre"], 2,
             "No such file", id="synth-out-dir-missing",
         ),
-        # {tmp}/zero holds one take whose header says 0 Hz, {tmp}/empty
-        # one take of no samples
+        # {tmp}/zero holds a take whose header says 0 Hz, {tmp}/empty a
+        # take of no samples; each also holds a good de_g.wav, so no
+        # take of "vande" is missing
         pytest.param(
             ["synth", "vande", "{tmp}/o.wav", "--no-require-metre",
              "--clips", "{tmp}/zero"], 1,
@@ -322,6 +347,8 @@ def test_bad_input_is_one_error_line(argv, code, fragment, tmp_path):
     (tmp_path / "zero" / "van_g.wav").write_bytes(mono16_wav(0, 400, bytes(400)))
     (tmp_path / "empty").mkdir()
     (tmp_path / "empty" / "van_g.wav").write_bytes(mono16_wav(44100, 0, b""))
+    for directory in ("zero", "empty"):
+        (tmp_path / directory / "de_g.wav").write_bytes(mono16_wav(44100, 400, bytes(400)))
     db = "name: m\nsyllables: 2 2 2 2\npitch_q13: 0 1\npitch_q24: 0 1\n"
     (tmp_path / "caesura.txt").write_text(db + "caesura: 3\n", encoding="utf-8")
     (tmp_path / "count.txt").write_text(

@@ -25,7 +25,6 @@ from versechant.dsp import (
     crossfade_frames,
     pitch_shift,
     read_wav,
-    write_wav,
 )
 from versechant.errors import (
     BadClip,
@@ -55,6 +54,7 @@ from conftest import (
     beat_request,
     peak_bin,
     random_text,
+    record_takes,
     reference_concat,
 )
 
@@ -214,17 +214,6 @@ def test_zero_pitch_equals_plain_concatenation(tmp_path):
     pieces = grid_pieces(result.plan, SyntheticVoice(config.base_freq, config.sample_rate))
     want = reference_concat(pieces, crossfade_frames(44100))
     assert np.array_equal(result.clip.samples, want)
-
-
-def record_takes(directory, plan, rate: int = 44100, beat: float = 0.5) -> None:
-    """One take per (unit, render weight) the plan sings, by a synthetic
-    voice at 196 Hz and ``rate``, each as long as its beats at ``beat``."""
-    voice = SyntheticVoice(196.0, rate)
-    for quarter in plan.quarters:
-        for tu in quarter.timed:
-            weight = Weight(tu.render_beats - 1)
-            clip = voice.get_clip(beat_request(tu.unit.text, weight, beat, rate=rate))
-            write_wav(clip, directory / f"{tu.unit.text}_{weight.tag}.wav")
 
 
 def test_synthesize_from_clip_directory(tmp_path):
