@@ -4,7 +4,6 @@ import mmap
 import os
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -827,11 +826,11 @@ def test_renders_at_once_fit_each_take_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("k", [0, 1, 21, -1])
 def test_a_bad_take_raises_as_the_serial_path_does(tmp_path, monkeypatch, k):
     # the take of the k-th distinct request is cut short: both paths
-    # raise the same BadWav; the helped path stops taking requests at
-    # the error, and once it is raised no take is being fitted, none is
-    # fitted later and the helper is gone.  The bad take fails late and
-    # the helper lingers after each take, so when the caller meets the
-    # error the helper is often fitting a later request
+    # raise the same BadWav.  On the helped path the bad take fails only
+    # once the other thread has started the next request, and that
+    # request is held until the failure, so a fit is running when the
+    # error is met; once it is raised that fit has finished, no request
+    # was taken after the failure and the helper is gone
     plan = prepare(SAMPLE_VERSE)
     takes = bench_takes(tmp_path / "takes", plan)
     units = [tu for q in plan.quarters for tu in q.timed]
@@ -840,19 +839,34 @@ def test_a_bad_take_raises_as_the_serial_path_does(tmp_path, monkeypatch, k):
     first = next(j for j, (t, b, _) in enumerate(distinct) if (t, b) == (text, beats))
     path = takes / f"{text}_{'lg'[beats - 1]}.wav"
     path.write_bytes(path.read_bytes()[:-1000])
-    started, finished = [], []
+    started, finished, at_failure = [], [], []
+    progress = threading.Condition()
+    failed = threading.Event()
     get_clip = ClipDirectory.get_clip
-    caller = threading.current_thread()
+    place = {key: j for j, key in enumerate(distinct)}
+    helping = False
 
     def spy(self, request):
-        started.append(request)
+        with progress:
+            started.append(request)
+            progress.notify_all()
         try:
-            if (request.unit_text, request.weight + 1) == (text, beats):
-                time.sleep(0.02)
-            clip = get_clip(self, request)
-            if threading.current_thread() is not caller:
-                time.sleep(0.01)
-            return clip
+            j = place[request.unit_text, request.weight + 1, request.pitch]
+            if helping and j == first:
+                # every request up to the one after this has started
+                with progress:
+                    assert progress.wait_for(
+                        lambda: len(started) >= min(first + 2, len(distinct)), timeout=60
+                    )
+            elif helping and j > first:
+                assert failed.wait(timeout=60)
+            try:
+                return get_clip(self, request)
+            except BadWav:
+                if helping and j == first:
+                    at_failure.append(len(started))
+                    failed.set()
+                raise
         finally:
             finished.append(request)
 
@@ -863,16 +877,18 @@ def test_a_bad_take_raises_as_the_serial_path_does(tmp_path, monkeypatch, k):
     assert len(started) == first + 1
     started.clear()
     finished.clear()
+    helping = True
     with pytest.raises(BadWav) as helped:
         synthesize(SAMPLE_VERSE, Config(clip_dir=takes))
-    assert len(finished) == len(started) <= first + 16
+    assert len(finished) == len(started)
     assert threading.active_count() == threads
+    # the other thread was fitting the next request when the take
+    # failed, and no request was taken after it
+    assert at_failure == [len(started)] == [min(first + 2, len(distinct))]
     assert "data cut short" in str(serial.value)
     assert (type(helped.value), str(helped.value), helped.value.stage) == (
         type(serial.value), str(serial.value), serial.value.stage
     )
-    time.sleep(0.05)
-    assert len(finished) == len(started)
 
 
 @pytest.mark.parametrize("platform", ["affinity", "cpu-count"])
