@@ -18,44 +18,36 @@ and array passes, so a render's takes, which do not depend on each
 other, fit in parallel.  The synthetic voice's clips are too short to
 pay for a thread, so it keeps the serial default.
 
-The synthetic voice runs no trigonometry per frame.  Its sines come
-from a phasor table built by angle addition: one block of in-block
-phasors times one phasor per block start.  A vowel's harmonics are
-summed from the fundamental's cosine and sine by a Chebyshev (Clenshaw)
-recurrence, not from one sine per harmonic.
+The synthetic voice runs no trigonometry per frame.  ``_harmonics``
+sums a vowel's harmonics, or a voiced consonant's fundamental, as one
+small real matrix product of block-start phasors and in-block phasors,
+and keeps no table.  The voice itself holds only its base frequency and
+sample rate; ``synthesize`` builds one per render.
 
-A voice computes each pure part of its clips once and keeps it for its
-later clips.  The parts are one phasor table per pitch sung, at
-base_freq · 2^(pitch/12), grown to the longest vowel asked for at that
-pitch (16 bytes a frame: 0.7 MB for a two-beat vowel at 0.5 s and
-44.1 kHz); one consonant burst per (letter, length), at most one 60 ms
-segment plus a frame per consonant of its cluster (about 21 KB at
-44.1 kHz); and for the voiced letters (semivowels and nasals), which mix
-the fundamental into their noise, the noise once per (letter, length)
-and the burst once per pitch as well.  All parts are read-only and
-share one budget, PARTS_BUDGET, 8 MiB, counted in the whole pages each
-part takes: past it the least recently used parts go.  Growing a table replaces it, and a new beat length asks for
-new lengths, which only add parts for the budget to evict.  One lock
-guards the bookkeeping, so threads may share a voice; two threads may
-both build a part, and they build it alike.
-
-``synthesize`` without a store renders with ``default_voice``: one
-voice per process, built on first use and kept, parts and all, until a
-render at another base frequency or sample rate replaces it.  Repeated
-renders of metred verses keep about 4.7 MB of parts; an unmetred
-16-line text, all at pitch 0, about 1.9 MB.
+The one part clips share is the consonant burst: seeded, band-filtered
+noise, mixed for the voiced letters (semivowels and nasals) with the
+sine at the pitch sung.  ``_burst`` builds it once per (letter, frames,
+frequency, rate), an unvoiced letter at frequency 0 for every pitch,
+and keeps the BURSTS_KEPT most recently used, read-only, in one
+``functools.lru_cache`` that every voice and thread of the process
+shares; two threads may both build a burst, and they build it alike.
+A burst is at most one 60 ms segment plus a frame per further consonant
+of its cluster, so the cache holds at most about
+BURSTS_KEPT × (0.06·rate + 3) × 8 bytes: 5.4 MB at 44.1 kHz, more at
+higher rates.  A new beat length asks for new lengths, which only
+replace older bursts.  Repeated renders of metred verses keep about
+1.4 MB of bursts; an unmetred 16-line text, all at pitch 0, about
+0.8 MB.
 """
 
 from __future__ import annotations
 
 import functools
-import mmap
 import numbers
 import os
 import threading
 import zlib
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,12 +74,11 @@ _NASALS = tuple(row[-1] for row in STOP_ROWS)
 # the synthetic vowel sums this many harmonics of the base frequency
 HARMONICS = 4
 
-# frames per block of the angle-addition phasor table
+# frames per block of the harmonic sum's in-block phasors
 _BLOCK = 256
 
-# bytes of pages the parts one voice keeps (phasor tables, burst noise,
-# bursts) may take
-PARTS_BUDGET = 8 * 2**20
+# consonant bursts the process keeps, across voices and renders
+BURSTS_KEPT = 256
 
 
 def is_number(value, kind: type = numbers.Real) -> bool:
@@ -137,9 +128,9 @@ class ClipProvider(ABC):
     ``request.pitch``, exactly ``request.n_frames`` frames at the engine
     rate; the renderer decides that length from the beat grid.
     Each call builds or loads the clip anew; the renderer memoizes whole
-    clips, so providers keep no clips.  A synthetic voice does keep the
-    parts its clips share (phasor tables, burst noise and bursts),
-    within the budget the module docstring states.
+    clips, so providers keep no clips.  The synthetic voices do share
+    one cache of the consonant bursts their clips are built from, within
+    the bound the module docstring states.
 
     ``get_clips`` is the batch a render makes: one clip per request,
     yielded in request order.  Its default is serial and lazy, one
@@ -176,38 +167,28 @@ def _envelope(x: np.ndarray, attack: int, release: int) -> np.ndarray:
     return x
 
 
-def _phasor(freq: float, n: int, rate: int) -> np.ndarray:
-    """exp(2πi · freq · k / rate) for k < n, by angle addition: one block
-    of in-block phasors times one phasor per block start, so no
-    trigonometry runs per frame.  Neither factor depends on n and the
-    first block start is exactly 1, so the first m entries of a table
-    equal the table built for m."""
-    step = 2j * np.pi * freq / rate
-    inner = np.exp(step * np.arange(min(n, _BLOCK)))
-    starts = np.exp(step * _BLOCK * np.arange(-(-n // _BLOCK)))
-    return np.outer(starts, inner).ravel()[:n]
+def _harmonics(amps: np.ndarray, freq: float, n: int, rate: int) -> np.ndarray:
+    """Σ_k amps[k-1] · sin(kθ_j) for frames j < n, θ_j = 2π · freq · j / rate.
 
-
-def _vowel_tone(nucleus: Letter, z: np.ndarray, rate: int) -> np.ndarray:
-    """HARMONICS harmonics of the fundamental whose phasor table is z
-    (one entry per frame), enveloped.
-
-    With θ the fundamental's phase, sin kθ = sin θ · U_{k-1}(cos θ), so
-    the sum of a_k sin kθ is sin θ times a Chebyshev series in cos θ,
-    evaluated by Clenshaw's recurrence over the amplitudes.  cos θ and
-    sin θ come from one phasor table, so no harmonic needs its own sine.
+    With j = b·_BLOCK + i, each term is the imaginary part of the block
+    start's phasor e^{ikθ_{b·_BLOCK}} times the in-block one a_k e^{ikθ_i},
+    so the sum is one real [blocks, 2K]·[2K, _BLOCK] product,
+    Re s · Im w + Im s · Re w: no trigonometry per frame, no table kept.
     """
-    if len(z) == 0:
-        return np.zeros(0)
+    k = np.arange(1, len(amps) + 1)
+    step = 2j * np.pi * freq / rate
+    starts = np.exp(step * _BLOCK * np.outer(np.arange(-(-n // _BLOCK)), k))
+    inner = amps[:, None] * np.exp(step * np.outer(k, np.arange(min(n, _BLOCK))))
+    x = np.hstack([starts.real, starts.imag]) @ np.vstack([inner.imag, inner.real])
+    return x.ravel()[:n]
+
+
+def _vowel_tone(nucleus: Letter, freq: float, n: int, rate: int) -> np.ndarray:
+    """HARMONICS harmonics of freq, n frames, enveloped; the fundamental
+    dominates, so the spectral peak sits at freq."""
     rng = np.random.default_rng(_seed(nucleus.text))
-    # fundamental dominates so the spectral peak sits at base_freq
     amps = np.concatenate([[1.0], rng.uniform(0.08, 0.3, HARMONICS - 1)])
-    two_cos = 2.0 * z.real
-    b, b_next = amps[-1], 0.0
-    for amp in amps[-2::-1]:  # b_j = a_{j+1} + 2cos θ · b_{j+1} - b_{j+2}
-        b, b_next = two_cos * b - b_next + amp, b
-    x = b * z.imag
-    return _envelope(x, int(0.015 * rate), int(0.030 * rate))
+    return _envelope(_harmonics(amps, freq, n, rate), int(0.015 * rate), int(0.030 * rate))
 
 
 def _voiced(letter: Letter) -> bool:
@@ -233,67 +214,37 @@ def _burst_noise(letter: Letter, n: int, rate: int) -> np.ndarray:
     return x
 
 
-def _consonant_burst(
-    letter: Letter, noise: np.ndarray, z: np.ndarray, rate: int
-) -> np.ndarray:
-    """The letter's burst from its noise (``_burst_noise``, as long as
-    z); semivowels and nasals mix in the fundamental whose phasor table
-    is z."""
-    x = 0.5 * noise + 0.5 * z.imag if _voiced(letter) else noise
-    return _envelope(0.45 * x, int(0.003 * rate), int(0.003 * rate))
+@functools.lru_cache(maxsize=BURSTS_KEPT)
+def _burst(letter: Letter, n: int, freq: float, rate: int) -> np.ndarray:
+    """The letter's burst, n frames long and read-only: its noise, mixed
+    half and half with the sine at freq, the fundamental a voiced letter
+    carries.  An unvoiced letter is passed freq 0, so every pitch shares
+    its burst."""
+    x = _burst_noise(letter, n, rate)
+    if freq:
+        x = 0.5 * x + 0.5 * _harmonics(np.ones(1), freq, n, rate)
+    burst = _envelope(0.45 * x, int(0.003 * rate), int(0.003 * rate))
+    burst.setflags(write=False)
+    return burst
 
 
-def _footprint(part: np.ndarray) -> int:
-    """Bytes of the whole pages a kept part takes."""
-    return -(-max(part.nbytes, 1) // mmap.PAGESIZE) * mmap.PAGESIZE
-
-
-class _Parts:
-    """Read-only arrays by key within a byte budget.  Storing a part
-    keeps a copy in pages of its own and replaces the part under its
-    key; then the least recently used parts go until the pages kept fit
-    the budget.  A lock guards this bookkeeping; parts are built and
-    copied outside it.
-
-    Own pages keep parts out of the malloc heap.  There, a part kept
-    from one render splits the free space its render's clips and int16
-    output buffer took, so the next render's land beyond it: with glibc
-    on a 2-CPU Linux host, heap-kept parts raise the verse benchmark's
-    peak RSS from 61.3 to 62.2 MB (seed 301, two 5 s runs a side)."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._kept: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> np.ndarray | None:
-        with self._lock:
-            part = self._kept.get(key)
-            if part is not None:
-                self._kept.move_to_end(key)
-            return part
-
-    def put(self, key: tuple, part: np.ndarray) -> np.ndarray:
-        kept = np.frombuffer(mmap.mmap(-1, _footprint(part)), part.dtype, len(part))
-        kept[:] = part
-        kept.setflags(write=False)
-        with self._lock:
-            old = self._kept.pop(key, None)
-            if old is not None:
-                self.nbytes -= _footprint(old)
-            self._kept[key] = kept
-            self.nbytes += _footprint(kept)
-            while self.nbytes > self.budget:
-                self.nbytes -= _footprint(self._kept.popitem(last=False)[1])
-        return kept
+def _consonant_run(letters, n: int, freq: float, rate: int) -> np.ndarray:
+    """The letters' bursts, n frames in all: an equal share each, the
+    remainder to the last."""
+    each = n // len(letters)
+    sizes = [each] * (len(letters) - 1) + [n - each * (len(letters) - 1)]
+    return np.concatenate([
+        _burst(letter, m, freq if _voiced(letter) else 0.0, rate)
+        for letter, m in zip(letters, sizes)
+    ])
 
 
 class SyntheticVoice(ClipProvider):
     """Noise-burst consonants around a harmonic vowel, sung at
     base_freq · 2^(pitch/12) and deterministic for a given request.
-    Its clips share the parts the module docstring lists, kept within
-    PARTS_BUDGET bytes; threads may share a voice."""
+    A voice holds only its two settings; the bursts its clips share sit
+    in the module's cache, so threads may share a voice, or each build
+    their own."""
 
     def __init__(
         self, base_freq: float = 220.0, sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -302,49 +253,10 @@ class SyntheticVoice(ClipProvider):
         check_base_freq(base_freq, sample_rate)
         self.base_freq = base_freq
         self.sample_rate = sample_rate
-        self._parts = _Parts(PARTS_BUDGET)
-
-    def _phasors(self, n: int, pitch: int) -> np.ndarray:
-        """The first n entries of the phasor table at the pitch's
-        frequency; at pitch 0 that is exactly base_freq."""
-        key = ("table", pitch)
-        table = self._parts.get(key)
-        if table is None or n > len(table):
-            freq = self.base_freq * 2.0 ** (pitch / 12)
-            table = self._parts.put(key, _phasor(freq, n, self.sample_rate))
-        return table[:n]
-
-    def _burst(self, letter: Letter, n: int, pitch: int) -> np.ndarray:
-        """The letter's burst, n frames long.  An unvoiced burst is noise
-        alone, so every pitch shares it; a voiced letter keeps its noise
-        as a part of its own, so another pitch only mixes in its sine."""
-        voiced = _voiced(letter)
-        key = ("burst", letter.text, n, pitch if voiced else 0)
-        burst = self._parts.get(key)
-        if burst is None:
-            rate = self.sample_rate
-            if voiced:
-                noise_key = ("noise", letter.text, n)
-                noise = self._parts.get(noise_key)
-                if noise is None:
-                    noise = self._parts.put(noise_key, _burst_noise(letter, n, rate))
-            else:
-                noise = _burst_noise(letter, n, rate)
-            z = self._phasors(n, pitch)
-            burst = self._parts.put(key, _consonant_burst(letter, noise, z, rate))
-        return burst
-
-    def _consonant_run(self, letters, n: int, pitch: int) -> np.ndarray:
-        each = n // len(letters)
-        parts = []
-        for k, letter in enumerate(letters):
-            m = n - each * (len(letters) - 1) if k == len(letters) - 1 else each
-            parts.append(self._burst(letter, m, pitch))
-        return np.concatenate(parts)
 
     def get_clip(self, request: ClipRequest) -> AudioClip:
-        rate, pitch = self.sample_rate, request.pitch
-        n = request.n_frames
+        rate, n = self.sample_rate, request.n_frames
+        freq = self.base_freq * 2.0 ** (request.pitch / 12)
         stream = tokenize(request.unit_text)
         vowel_at = next(
             (i for i, letter in enumerate(stream.letters) if letter.is_vowel), None
@@ -360,24 +272,15 @@ class SyntheticVoice(ClipProvider):
         coda = min(len(post) * seg, n // 4)
         parts = []
         if onset:
-            parts.append(self._consonant_run(pre, onset, pitch))
-        parts.append(_vowel_tone(nucleus, self._phasors(n - onset - coda, pitch), rate))
+            parts.append(_consonant_run(pre, onset, freq, rate))
+        parts.append(_vowel_tone(nucleus, freq, n - onset - coda, rate))
         if coda:
-            parts.append(self._consonant_run(post, coda, pitch))
+            parts.append(_consonant_run(post, coda, freq, rate))
         x = np.concatenate(parts)
         peak = np.max(np.abs(x)) if len(x) else 0.0
         if peak > 0:
             x *= 0.75 / peak
         return AudioClip(_to_int16(x), rate)
-
-
-@functools.lru_cache(maxsize=1)
-def default_voice(base_freq: float, sample_rate: int) -> SyntheticVoice:
-    """The process's synthetic voice, built on first use and kept with
-    its parts until a call at another (base_freq, sample_rate) replaces
-    it.  Two threads that ask at once for a voice not yet kept may each
-    build one; either serves the same clips."""
-    return SyntheticVoice(base_freq, sample_rate)
 
 
 # ---------------------------------------------------------------------------

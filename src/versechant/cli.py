@@ -131,7 +131,7 @@ def _cmd_synth(text: str, config: Config, out: str) -> int:
     print(
         f"metre: {metre.name if metre else 'none'}; "
         f"{result.plan.total_beats} beats, "
-        f"{result.clip.duration_seconds:.2f} s, {result.joins} joins",
+        f"{result.clip.duration_seconds:.2f} s, {result.plan.joins} joins",
         file=sys.stderr,
     )
     print(str(result.wav_path))

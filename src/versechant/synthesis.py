@@ -22,9 +22,9 @@ from .audio_store import (
     ClipDirectory,
     ClipProvider,
     ClipRequest,
+    SyntheticVoice,
     check_base_freq,
     check_sample_rate,
-    default_voice,
     is_number,
 )
 from .dsp import (
@@ -136,8 +136,12 @@ class VersePlan:
 class RenderResult:
     clip: AudioClip
     plan: VersePlan
-    joins: int
     wav_path: Path | None = None
+
+    @property
+    def joins(self) -> int:
+        """Joins between the render's pieces: ``plan.joins``."""
+        return self.plan.joins
 
 
 @contextmanager
@@ -232,9 +236,10 @@ def synthesize(
     it arrives: a clip off the contract's rate or length raises
     ``BadClip``, and a store on the serial default is asked for no
     clip after it.
-    Without a store or a ``clip_dir``, the store is the process's synthetic voice
-    (``audio_store.default_voice``), whose parts outlive the render.  A
-    render longer than a WAV file holds (``dsp.WAV_MAX_FRAMES``) raises
+    Without a store or a ``clip_dir``, the store is a ``SyntheticVoice``
+    at ``config.base_freq``, built for the render; the consonant bursts
+    every voice shares outlive it (see ``audio_store``).  A render
+    longer than a WAV file holds (``dsp.WAV_MAX_FRAMES``) raises
     ``ConfigError`` before any audio is made.
     """
     config = config if config is not None else Config()
@@ -250,7 +255,7 @@ def synthesize(
     if store is None and config.clip_dir is not None:
         store = ClipDirectory(config.clip_dir, rate)
     elif store is None:
-        store = default_voice(config.base_freq, rate)
+        store = SyntheticVoice(config.base_freq, rate)
     xf = crossfade_frames(rate)
     # each piece is its slot plus a tail that fades under the next slot;
     # the last, the last quarter's end rest, has no slot to fade under
@@ -279,4 +284,4 @@ def synthesize(
         wav_path = Path(out_path)
         with _stage("output"):
             write_wav(clip, wav_path)
-    return RenderResult(clip, plan, joins=plan.joins, wav_path=wav_path)
+    return RenderResult(clip, plan, wav_path)

@@ -7,12 +7,14 @@ word breaks, so tokenize and ``text()`` round-trip exactly on
 canonical, single-spaced romanized input.
 
 Each script is scanned by one compiled pattern.  Romanized text is a
-sequence of gaps (whitespace, "|" or a danda) and letters, each the
-longest alphabet text at its offset.  Devanagari text is a sequence
-of consonants, each with at most one mark (a virama or a vowel sign;
-no mark means the inherent a), independent vowels, the signs ṃ and
-ḥ, dandas ("।", "॥" or "|") and whitespace.  Any other character is
-an error at its offset.  Dandas break quarters in either script, and
+sequence of gaps (whitespace, "|", a danda, or an avagraha spelled "'"
+or "’") and letters, each the longest alphabet text at its offset.
+Devanagari text is a sequence of consonants, each with at most one mark
+(a virama or a vowel sign; no mark means the inherent a), independent
+vowels, the signs ṃ and ḥ, the avagraha "ऽ", dandas ("।", "॥" or "|")
+and whitespace.  Any other character is an error at its offset.  The
+avagraha marks an elided a, which is no syllable, so either script
+reads it as a word break.  Dandas break quarters in either script, and
 each script takes the other's.
 """
 
@@ -82,7 +84,7 @@ class LetterStream:
 # letter text at this offset (alternatives are tried in order, so the
 # longest first), or any other character, which is an error.
 _ROMAN_SCAN = re.compile(
-    r"(?P<gap>[\s|।॥]+)|(?P<letter>%s)|(?P<bad>.)"
+    r"(?P<gap>[\s|।॥'’]+)|(?P<letter>%s)|(?P<bad>.)"
     % "|".join(map(re.escape, sorted(LETTERS, key=len, reverse=True))),
     re.S,
 )
@@ -91,9 +93,9 @@ _ROMAN_SCAN = re.compile(
 def tokenize(text: str) -> LetterStream:
     """Tokenize romanized verse text into a LetterStream.
 
-    Whitespace, "|" and the dandas "।" "॥" act as word breaks.  Raises
-    UnknownCharacter at the first position (in the normalized text)
-    that matches no letter.
+    Whitespace, "|", the dandas "।" "॥" and the avagraha ("'" or "’")
+    act as word breaks.  Raises UnknownCharacter at the first position
+    (in the normalized text) that matches no letter.
     """
     letters: list[Letter] = []
     gaps: set[int] = set()
@@ -143,8 +145,9 @@ _DEVA_MARK = {
 }
 
 # Everything that stands on its own: independent vowels, the signs that
-# follow a finished syllable (candrabindu folds to plain anusvara), and
-# the dandas, spelled "|" and "||" as in romanized text.
+# follow a finished syllable (candrabindu folds to plain anusvara), the
+# avagraha, a word break, and the dandas, spelled "|" and "||" as in
+# romanized text.
 _DEVA_STANDALONE = {
     "अ": "a", "आ": "ā", "इ": "i", "ई": "ī",
     "उ": "u", "ऊ": "ū", "ऋ": "r̥",
@@ -153,6 +156,7 @@ _DEVA_STANDALONE = {
     "ं": "ṃ",  # anusvara
     "ँ": "ṃ",  # candrabindu
     "ः": "ḥ",  # visarga
+    "ऽ": " ",  # avagraha
     "।": " | ",  # danda
     "॥": " || ",  # double danda
     "|": " | ",  # the romanized danda, as "।" works in romanized text
@@ -188,8 +192,8 @@ def devanagari_to_latin(text: str) -> str:
     Consonants carry the inherent short a unless a virama or a vowel
     sign follows.  Danda and double danda come out as "|" and "||".
     A virama or vowel sign that follows no consonant, and any code
-    point outside the tables and whitespace (avagraha, digits, nukta,
-    Latin letters), raises UnsupportedCodePoint at its position in
-    the NFC text.
+    point outside the tables and whitespace (digits, nukta, Latin
+    letters), raises UnsupportedCodePoint at its position in the NFC
+    text.
     """
     return _DEVA_SCAN.sub(_deva_to_latin, unicodedata.normalize("NFC", text))

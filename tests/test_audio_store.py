@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import mmap
 import os
 import sys
 import threading
@@ -79,6 +78,10 @@ def reference_vowel_tone(nucleus, n: int, rate: int, base_freq: float) -> np.nda
     return x * reference_envelope(n, int(0.015 * rate), int(0.030 * rate))
 
 
+def reference_voiced(letter) -> bool:
+    return letter.category is Category.SEMIVOWEL or letter.text in _NASALS
+
+
 def reference_consonant_burst(letter, n: int, rate: int, base_freq: float) -> np.ndarray:
     if n <= 0:
         return np.zeros(0)
@@ -91,24 +94,25 @@ def reference_consonant_burst(letter, n: int, rate: int, base_freq: float) -> np
     peak = np.max(np.abs(x))
     if peak > 0:
         x /= peak
-    if letter.category is Category.SEMIVOWEL or letter.text in _NASALS:
+    if reference_voiced(letter):
         t = np.arange(n) / rate
         x = 0.5 * x + 0.5 * np.sin(2.0 * np.pi * base_freq * t)
     return 0.45 * x * reference_envelope(n, int(0.003 * rate), int(0.003 * rate))
 
 
 def reference_synth_clip(request: ClipRequest, base_freq: float, rate: int):
-    """A fresh voice's clip with the oracle's tone and burst in place of
-    the kernels (each oracle is handed the frame count of its table)."""
-    def tone(nucleus, z, rate):
-        return reference_vowel_tone(nucleus, len(z), rate, base_freq)
+    """A voice's clip with the oracle's tone and burst in place of the
+    kernels (each oracle is handed the frame count it is asked for, and
+    sings at base_freq whatever frequency the voice passes)."""
+    def tone(nucleus, freq, n, rate):
+        return reference_vowel_tone(nucleus, n, rate, base_freq)
 
-    def burst(letter, noise, z, rate):
-        return reference_consonant_burst(letter, len(z), rate, base_freq)
+    def burst(letter, n, freq, rate):
+        return reference_consonant_burst(letter, n, rate, base_freq)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(audio_store, "_vowel_tone", tone)
-        mp.setattr(audio_store, "_consonant_burst", burst)
+        mp.setattr(audio_store, "_burst", burst)
         return SyntheticVoice(base_freq, rate).get_clip(request)
 
 
@@ -226,8 +230,8 @@ CONSONANTS = ["k", "kh", "g", "ṅ", "c", "j", "ñ", "ṭ", "ṇ", "t", "d", "n"
               "p", "bh", "m", "y", "r", "l", "v", "ś", "ṣ", "s", "h", "ṃ", "ḥ"]
 BLOCK = audio_store._BLOCK
 
-# lengths below, at and just off multiples of the phasor block, and any
-# length up to about two seconds at 44.1 kHz
+# lengths below, at and just off multiples of the harmonic sum's block,
+# and any length up to about two seconds at 44.1 kHz
 frame_counts = st.one_of(
     st.integers(0, 90_000),
     st.builds(lambda k, d: max(0, k * BLOCK + d), st.integers(0, 351), st.integers(-1, 1)),
@@ -249,13 +253,13 @@ def test_voice_matches_reference(pre, nucleus, post, weight, n, rate, base_share
     check_base_freq(base, rate)
     # each kernel alone, at exactly n frames
     vowel = tokenize(nucleus).letters[0]
-    z = audio_store._phasor(base, n, rate)
-    got = audio_store._vowel_tone(vowel, z, rate)
+    got = audio_store._vowel_tone(vowel, base, n, rate)
     assert len(got) == n
     np.testing.assert_allclose(got, reference_vowel_tone(vowel, n, rate, base), rtol=0, atol=1e-9)
     for letter in tokenize("".join(pre + post) or "y").letters:
-        noise = audio_store._burst_noise(letter, n, rate)
-        got = audio_store._consonant_burst(letter, noise, z, rate)
+        # the burst kernel uncached; an unvoiced letter is passed freq 0
+        freq = base if reference_voiced(letter) else 0.0
+        got = audio_store._burst.__wrapped__(letter, n, freq, rate)
         want = reference_consonant_burst(letter, n, rate, base)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     # the whole clip, at exactly n frames
@@ -310,8 +314,37 @@ def test_pitched_clip_spectrum(nucleus, weight, pitch, rate, base_share, beat):
 
 
 # ---------------------------------------------------------------------------
-# The voice's memo: bursts and one phasor table per pitch are kept per
-# instance
+# The burst cache: every voice shares one, so a burst is built once per
+# (letter, frames, frequency, rate)
+
+def record_bursts(monkeypatch):
+    """Spy on the burst cache.  Returns (misses, served): ``misses`` gets
+    (letter text, frames, freq) for each call the cache had to build,
+    ``served`` every burst handed out, hit or miss."""
+    cached = audio_store._burst
+    misses, served = [], []
+
+    def spy(letter, n, freq, rate):
+        before = cached.cache_info().misses
+        burst = cached(letter, n, freq, rate)
+        if cached.cache_info().misses > before:
+            misses.append((letter.text, n, freq))
+        served.append(burst)
+        return burst
+
+    monkeypatch.setattr(audio_store, "_burst", spy)
+    return misses, served
+
+
+def count_noise(monkeypatch) -> list:
+    """The letters whose burst noise is built, one entry per build."""
+    made = []
+    noise = audio_store._burst_noise
+    monkeypatch.setattr(
+        audio_store, "_burst_noise", lambda letter, n, rate: made.append(letter.text) or noise(letter, n, rate)
+    )
+    return made
+
 
 unit_texts = st.builds(
     lambda pre, nucleus, post: "".join(pre) + nucleus + "".join(post),
@@ -336,104 +369,62 @@ requests = st.tuples(
 )
 def test_reused_voice_equals_fresh_voice(reqs, rate, base_share):
     # clips grow and shrink in random order; replaying them backwards
-    # serves every part from the memo
+    # serves every burst from the cache
     base = base_share * top_base_freq(rate)
     voice = SyntheticVoice(base, rate)
     reqs = [beat_request(*req, rate=rate) for req in reqs]
-    for request in reqs + reqs[::-1]:
-        got = voice.get_clip(request).samples
-        want = SyntheticVoice(base, rate).get_clip(request).samples
-        assert np.array_equal(got, want)
-    # a burst or its noise is at most one 60 ms segment plus a frame or
-    # two (clusters here have at most four consonants), and nothing kept
-    # is writable
+    with pytest.MonkeyPatch.context() as mp:
+        misses, served = record_bursts(mp)
+        warm = [voice.get_clip(request).samples for request in reqs]
+        forward_misses = len(misses)
+        warm += [voice.get_clip(request).samples for request in reqs[::-1]]
+    assert len(misses) == forward_misses
+    for request, got in zip(reqs + reqs[::-1], warm):
+        audio_store._burst.cache_clear()
+        assert np.array_equal(got, SyntheticVoice(base, rate).get_clip(request).samples)
+    # a burst is at most one 60 ms segment plus a frame or two (clusters
+    # here have at most four consonants), and none is writable
     seg = int(round(0.06 * rate))
-    kept = voice._parts._kept
-    for key, part in kept.items():
-        assert not part.flags.writeable
-        if key[0] != "table":
-            assert len(part) <= seg + 2
-    # one table per pitch sung, none for a pitch not asked for
-    tables = {key[1] for key in kept if key[0] == "table"}
-    assert tables <= {request.pitch for request in reqs}
+    assert all(len(burst) <= seg + 2 and not burst.flags.writeable for burst in served)
+    # unvoiced bursts are built at freq 0, voiced ones at a pitch sung
+    sung = {0.0} | {base * 2.0 ** (request.pitch / 12) for request in reqs}
+    assert {freq for _, _, freq in misses} <= sung
 
 
 def test_voice_renders_each_burst_once(monkeypatch):
-    made = []
-
-    def burst(letter, noise, z, rate):
-        made.append((letter.text, len(z)))
-        return np.zeros(len(z))
-
-    monkeypatch.setattr(audio_store, "_consonant_burst", burst)
+    audio_store._burst.cache_clear()
+    noises = count_noise(monkeypatch)
+    misses, _ = record_bursts(monkeypatch)
     voice = SyntheticVoice()
     for text in ("van", "de", "vān", "van"):
         voice.get_clip(beat_request(text, Weight.LAGHU, 0.5))
-    assert len(made) == len(set(made)) == 3  # v, n, d at one length each
+    assert len(misses) == len(set(misses)) == 3  # v, n, d at one length each
+    # the noise, a burst's costly part, is built once per miss
+    assert sorted(noises) == sorted(text for text, _, _ in misses)
 
 
 def test_voice_keys_voiced_bursts_by_pitch(monkeypatch):
     # an unvoiced burst is noise alone and serves every pitch; a nasal
     # mixes in the fundamental, so it is built once per pitch, at it
-    made = []
-
-    def burst(letter, noise, z, rate):
-        made.append((letter.text, np.angle(z[1]) * rate / (2 * np.pi)))
-        return np.zeros(len(z))
-
-    monkeypatch.setattr(audio_store, "_consonant_burst", burst)
+    audio_store._burst.cache_clear()
+    misses, _ = record_bursts(monkeypatch)
     base, rate = 220.0, 44100
     voice = SyntheticVoice(base, rate)
     for pitch in (-7, 0, 4, 0, -7):
         voice.get_clip(beat_request("kan", Weight.LAGHU, 0.5, pitch))
-    assert [text for text, _ in made].count("k") == 1
-    nasal = [freq for text, freq in made if text == "n"]
+    assert [freq for text, _, freq in misses if text == "k"] == [0.0]
+    nasal = [freq for text, _, freq in misses if text == "n"]
     np.testing.assert_allclose(nasal, [base * 2.0 ** (p / 12) for p in (-7, 0, 4)], rtol=1e-9)
-
-
-def test_voice_builds_burst_noise_once_per_length(monkeypatch):
-    # the noise is the costly part of a burst and ignores the pitch: a
-    # nasal sung at three pitches and two lengths filters its noise once
-    # per length, and only mixes its sine in per pitch
-    noises, mixes = [], []
-    noise, burst = audio_store._burst_noise, audio_store._consonant_burst
-
-    def counted_noise(letter, n, rate):
-        noises.append((letter.text, n))
-        return noise(letter, n, rate)
-
-    def counted_burst(letter, noise, z, rate):
-        mixes.append((letter.text, len(z)))
-        return burst(letter, noise, z, rate)
-
-    monkeypatch.setattr(audio_store, "_burst_noise", counted_noise)
-    monkeypatch.setattr(audio_store, "_consonant_burst", counted_burst)
-    voice = SyntheticVoice()
-    requests = [
-        beat_request("kan", Weight.LAGHU, beat, pitch)
-        for beat in (0.5, 0.05)
-        for pitch in (-7, 0, 4, 0, -7)
-    ]
-    clips = [voice.get_clip(request).samples for request in requests]
-    lengths = sorted({n for _, n in noises})
-    assert len(lengths) == 2
-    assert sorted(noises) == [(text, n) for text in ("k", "n") for n in lengths]
-    assert sorted(mixes) == sorted([("k", n) for n in lengths] + [("n", n) for n in lengths] * 3)
-    # and the clips are a fresh voice's
-    monkeypatch.undo()
-    for request, got in zip(requests, clips):
-        assert np.array_equal(got, SyntheticVoice().get_clip(request).samples)
 
 
 def test_envelope_leaves_the_middle_untouched():
     rate, n = 44100, 30_000
     attack, release = int(0.015 * rate), int(0.030 * rate)
     vowel = tokenize("ā").letters[0]
-    z = audio_store._phasor(220.0, n, rate)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(audio_store, "_envelope", lambda x, attack, release: x)
-        raw = audio_store._vowel_tone(vowel, z, rate)
-    tone = audio_store._vowel_tone(vowel, z, rate)
+        raw = audio_store._vowel_tone(vowel, 220.0, n, rate)
+    tone = audio_store._vowel_tone(vowel, 220.0, n, rate)
     assert np.array_equal(tone[attack : n - release], raw[attack : n - release])
     assert tone[0] == 0.0 and tone[-1] == 0.0
     assert np.all(np.abs(tone) <= np.abs(raw))
@@ -456,8 +447,8 @@ def test_render_fetches_each_clip_once():
 
 
 # ---------------------------------------------------------------------------
-# The process's voice: synthesize without a store renders with one voice,
-# whose parts outlive the render within a byte budget
+# Renders without a store: each builds a voice, and the bursts they share
+# outlive the render, at most BURSTS_KEPT of them
 
 def metre_db(path, q13, q24):
     """A one-record metre database for the sample verse (11 syllables a
@@ -471,60 +462,38 @@ def metre_db(path, q13, q24):
 
 
 def fresh_render(config):
+    """The sample verse rendered from an empty burst cache."""
+    audio_store._burst.cache_clear()
     voice = SyntheticVoice(config.base_freq, config.sample_rate)
     return synthesize(SAMPLE_VERSE, config, store=voice).clip.samples
 
 
-def test_parts_evict_the_least_recently_used_pages():
-    page = mmap.PAGESIZE
-    parts = audio_store._Parts(3 * page)
-    part = np.arange(page // 8, dtype=np.float64)
-    a = parts.put(("a",), part)
-    # a read-only copy, in pages of its own
-    assert np.array_equal(a, part) and a is not part and not a.flags.writeable
-    parts.put(("b",), np.zeros(1))  # 8 bytes take a whole page
-    parts.get(("a",))  # a is now more recent than b
-    parts.put(("c",), np.zeros(page // 8))
-    parts.put(("d",), np.zeros(1))
-    assert list(parts._kept) == [("a",), ("c",), ("d",)] and parts.nbytes == 3 * page
-    # growing a part replaces it, counted once
-    parts.put(("a",), np.zeros(page // 8 + 1))
-    assert list(parts._kept) == [("d",), ("a",)] and parts.nbytes == 3 * page
-    # a part over the whole budget is handed back, not kept
-    big = parts.put(("e",), np.zeros(3 * page // 8 + 1))
-    assert len(big) == 3 * page // 8 + 1 and not parts._kept and parts.nbytes == 0
-
-
-def test_default_voice_keeps_its_parts_within_the_budget(tmp_path, monkeypatch):
-    # the budget is stated where the parts are described
-    assert audio_store.PARTS_BUDGET == 8 * 2**20
-    assert "PARTS_BUDGET, 8 MiB" in " ".join(audio_store.__doc__.split())
-    built = []
-    put = audio_store._Parts.put
-    monkeypatch.setattr(
-        audio_store._Parts, "put", lambda self, key, part: built.append((key, part.nbytes)) or put(self, key, part)
-    )
-    # every pitch in PITCH_MIN..PITCH_MAX, at beats up to a second, so the
-    # tables alone outgrow the budget
+def test_burst_cache_keeps_at_most_bursts_kept(tmp_path, monkeypatch):
+    # the bound is stated where the cache is described
+    cache = audio_store._burst
+    assert cache.cache_info().maxsize == audio_store.BURSTS_KEPT
+    assert "BURSTS_KEPT × (0.06·rate + 3) × 8 bytes" in " ".join(audio_store.__doc__.split())
+    cache.cache_clear()
+    misses, served = record_bursts(monkeypatch)
+    # every pitch in PITCH_MIN..PITCH_MAX, at nine beats short enough
+    # that a burst's length follows the beat, so the bursts built
+    # outnumber the bound
     db = metre_db(tmp_path / "all.txt", [-7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3], [4, 0, -1, 1, -2, 2, 0, 3, -3, 4, 0])
-    for beat in (0.25, 1.0, 0.5):
+    for beat in (0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10, 0.11):
         synthesize(SAMPLE_VERSE, Config(beat_seconds=beat, metre_db_path=db))
-    voice = audio_store.default_voice(220.0, 44100)
-    kept = voice._parts._kept
-    assert {key[1] for key, _ in built if key[0] == "table"} == set(range(PITCH_MIN, PITCH_MAX + 1))
-    assert sum(nbytes for _, nbytes in built) > audio_store.PARTS_BUDGET >= voice._parts.nbytes
-    assert voice._parts.nbytes == sum(map(audio_store._footprint, kept.values()))
-    assert not any(part.flags.writeable for part in kept.values())
+    voiced_at = {freq for _, _, freq in misses} - {0.0}
+    assert len(voiced_at) == PITCH_MAX - PITCH_MIN + 1
+    assert len(misses) > audio_store.BURSTS_KEPT >= cache.cache_info().currsize
+    assert all(not burst.flags.writeable and len(burst) <= 0.06 * 44100 + 3 for burst in served)
 
 
 def test_second_render_builds_no_parts(monkeypatch):
     synthesize(SAMPLE_VERSE)
-    built = []
-    for name in ("_phasor", "_burst_noise", "_consonant_burst"):
-        kernel = getattr(audio_store, name)
-        monkeypatch.setattr(audio_store, name, lambda *a, k=kernel, n=name: built.append(n) or k(*a))
+    noises = count_noise(monkeypatch)
+    misses, _ = record_bursts(monkeypatch)
     again = synthesize(SAMPLE_VERSE).clip.samples
-    assert built == []
+    assert misses == [] and noises == []
+    monkeypatch.undo()
     assert np.array_equal(again, fresh_render(Config()))
 
 
@@ -542,33 +511,40 @@ def test_second_render_builds_no_parts(monkeypatch):
     )
 )
 def test_default_voice_equals_fresh_voice_across_renders(tmp_path_factory, renders):
-    # renders through the process's voice, interleaved across beats,
-    # pitches, base frequencies and rates, equal a fresh voice's
-    db = tmp_path_factory.mktemp("metre") / "db.txt"
+    # renders without a store, one after another across beats, pitches,
+    # base frequencies and rates, sharing the burst cache, equal renders
+    # from an empty one
+    configs, got = [], []
     for beat, pitches, base, rate in renders:
-        metre_db(db, pitches[:11], pitches[11:])
-        config = Config(beat_seconds=beat, base_freq=base, sample_rate=rate, metre_db_path=db)
-        assert np.array_equal(synthesize(SAMPLE_VERSE, config).clip.samples, fresh_render(config))
+        db = metre_db(tmp_path_factory.mktemp("metre") / "db.txt", pitches[:11], pitches[11:])
+        configs.append(Config(beat_seconds=beat, base_freq=base, sample_rate=rate, metre_db_path=db))
+        got.append(synthesize(SAMPLE_VERSE, configs[-1]).clip.samples)
+    for config, samples in zip(configs, got):
+        assert np.array_equal(samples, fresh_render(config))
 
 
 def test_threads_render_with_one_voice():
-    # four renders at once, two pairs asking for the same parts, from a
-    # voice no render has used yet; a short switch interval makes the
-    # threads interleave inside the parts' bookkeeping
+    # four renders at once with one voice, two pairs asking for the same
+    # bursts, from an empty cache; a short switch interval makes the
+    # threads interleave inside the cache
+    voice = SyntheticVoice(207.0)
     configs = [Config(beat_seconds=beat, base_freq=207.0) for beat in (0.1, 0.1, 0.2, 0.2)]
-    audio_store.default_voice.cache_clear()
+    audio_store._burst.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda config: synthesize(SAMPLE_VERSE, config).clip.samples, configs, timeout=120))
+            got = list(pool.map(
+                lambda config: synthesize(SAMPLE_VERSE, config, store=voice).clip.samples,
+                configs, timeout=120,
+            ))
     finally:
         sys.setswitchinterval(interval)
+    # the cache kept within its bound what the threads built
+    info = audio_store._burst.cache_info()
+    assert 0 < info.currsize <= min(info.misses, audio_store.BURSTS_KEPT)
     for config, samples in zip(configs, got):
         assert np.array_equal(samples, fresh_render(config))
-    # no update to the kept pages was lost
-    parts = audio_store.default_voice(207.0, 44100)._parts
-    assert parts.nbytes == sum(map(audio_store._footprint, parts._kept.values())) > 0
 
 
 # ---------------------------------------------------------------------------

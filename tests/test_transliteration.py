@@ -17,7 +17,7 @@ from versechant.transliteration import (
     tokenize,
 )
 
-from versechant.synthesis import split_text
+from versechant.synthesis import prepare, split_text
 
 from conftest import (
     DEVA_CONSONANTS,
@@ -208,10 +208,44 @@ def test_devanagari_independent_vowels():
     assert devanagari_to_latin("अहम् इति") == "aham iti"
 
 
-def test_devanagari_rejects_avagraha():
-    with pytest.raises(UnsupportedCodePoint) as info:
-        devanagari_to_latin("सोऽहम्")
-    assert info.value.position == 2
+def test_devanagari_reads_avagraha_as_a_word_break():
+    # the avagraha marks an elided a, no letter and no syllable; IAST
+    # spells it ' or ’, and either script reads it as a word break
+    assert devanagari_to_latin("सोऽहम्") == "so ham"
+    assert tokenize("so'ham") == tokenize("so’ham") == tokenize("so ham")
+
+
+# Bhagavad Gītā 2.47, a pathyā śloka with an avagraha in its last quarter
+GITA_2_47 = (
+    "karmaṇyevādhikāraste mā phaleṣu kadācana |\n"
+    "mā karmaphalaheturbhūrmā te saṅgo'stvakarmaṇi ||"
+)
+GITA_2_47_DEVANAGARI = (
+    "कर्मण्येवाधिकारस्ते मा फलेषु कदाचन ।\n"
+    "मा कर्मफलहेतुर्भूर्मा ते सङ्गोऽस्त्वकर्मणि ॥"
+)
+# its contextual weights, checked by hand (1 heavy, 0 light)
+GITA_2_47_WEIGHTS = [
+    [1, 1, 1, 1, 0, 1, 1, 1],  # kar maṇ ye vā dhi kā ras te
+    [1, 0, 1, 0, 0, 1, 0, 0],  # mā pha le ṣu ka dā ca na
+    [1, 1, 0, 0, 0, 1, 1, 1],  # mā kar ma pha la he tur bhūr
+    [1, 1, 1, 1, 0, 1, 0, 0],  # mā te saṅ go stva kar ma ṇi
+]
+
+
+def test_gita_2_47_scans_as_anustup_in_both_scripts():
+    # each spelling of the avagraha plans as the text with a space for it
+    spaced = prepare(GITA_2_47.replace("'", " "))
+    assert spaced.analysis.metre.name == "Anuṣṭup"
+    weights = [[int(tu.contextual) for tu in q.timed] for q in spaced.quarters]
+    assert weights == GITA_2_47_WEIGHTS
+    for text in (
+        GITA_2_47,
+        GITA_2_47.replace("'", "’"),
+        GITA_2_47_DEVANAGARI,
+        GITA_2_47_DEVANAGARI.replace("ऽ", " "),
+    ):
+        assert prepare(text) == spaced
 
 
 def test_devanagari_rejects_digits():
@@ -232,10 +266,10 @@ DEVA_CONSONANT_SET = set(DEVA_CONSONANTS.values())
 DEVA_MARK_SET = {sign for sign in DEVA_SIGNS.values() if sign} | {VIRAMA}
 DEVA_TABLED = (
     DEVA_CONSONANT_SET | DEVA_MARK_SET | set(DEVA_VOWELS.values())
-    | set(DEVA_MARKS.values()) | {"ँ", "।", "॥", "|"}  # candrabindu, dandas
+    | set(DEVA_MARKS.values()) | {"ँ", "ऽ", "।", "॥", "|"}  # candrabindu, avagraha, dandas
 )
 DEVA_PIECES = sorted(DEVA_TABLED) + [
-    " ", "\n", "\u00a0", "ऽ", "०", "१", "़", "ॐ", "v",  # avagraha, digits, nukta
+    " ", "\n", "\u00a0", "०", "१", "़", "ॐ", "v",  # digits, nukta
 ]
 
 
